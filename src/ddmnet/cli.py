@@ -113,6 +113,13 @@ def emit_report(report: dict, fmt: str, path: str | None) -> None:
     raise DdmnetError(f"unknown output format {fmt!r}")
 
 
+def _check_grid(args: argparse.Namespace) -> None:
+    if not 0.0 <= args.t_max < math.inf:
+        raise ValueError(f"--t-max must be finite and >= 0, got {args.t_max}")
+    if not 0.0 < args.t_step < math.inf:
+        raise ValueError(f"--t-step must be finite and > 0, got {args.t_step}")
+
+
 def _attach_curves(report: dict, g: WeightedDigraph, params: ModelParams,
                    t_max: float, t_step: float) -> None:
     times = np.arange(0.0, t_max + 1e-12, t_step)
@@ -138,6 +145,7 @@ def _route_entry(report_or_error: CertaintyReport | str) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _check_grid(args)
     g = load_graph(args.graph)
     params = ModelParams(beta=args.beta, sigma=args.sigma)
     profile = classify(g)
@@ -225,10 +233,13 @@ def cmd_centrality(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
+    _check_grid(args)
     spec = parse_family_spec(args.spec)
     g = make_family(spec)
     params = ModelParams(beta=args.beta, sigma=args.sigma)
     check_times = [float(tok) for tok in args.times.split(",") if tok.strip()]
+    if not all(0.0 <= t < math.inf for t in check_times):
+        raise ValueError(f"--times must be finite and >= 0, got {args.times}")
     config = {"family": args.spec, "sigma": args.sigma, "beta": args.beta,
               "times": check_times, "format": args.format}
     report = _base_report("family", config, g)

@@ -24,7 +24,7 @@ class Tolerances:
     group_inverse_rtol: float = 1e-9
     # agreement between certainty routes (per node, relative)
     route_agreement_rtol: float = 1e-9
-    # closed-form vs numerically integrated covariance (max-norm)
+    # eigenmode or closed-form covariance vs the general-route propagator (max-norm)
     covariance_cross_atol: float = 1e-6
     # path-enumeration oracle vs matrix information
     oracle_agreement_atol: float = 1e-6

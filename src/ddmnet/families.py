@@ -205,9 +205,9 @@ def closed_form_mu(spec: FamilySpec, sigma: float = 1.0) -> ClosedFormResult:
 
 
 def closed_form_covariance(spec: FamilySpec, params: ModelParams, t: float) -> np.ndarray:
-    """Exact covariance matrix at time t for every family, any t >= 0."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    """Exact covariance matrix at time t for every family, any finite t >= 0."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     n, a, s2 = spec.n, spec.alpha, params.sigma**2
     if n == 1:
         return np.array([[s2 * t]])
@@ -252,11 +252,9 @@ def closed_form_covariance(spec: FamilySpec, params: ModelParams, t: float) -> n
         return s2 * cov
     if spec.kind == "exploding_star":
         b = (n - 1) * a
-        decay = -math.expm1(-2.0 * b * t)
-        c1 = (-2.0 / (b * (n - 1)) + t / (n - 1)
-              + 2.0 / (b * (n - 1)) * math.exp(-b * t)
-              + n * decay / (2.0 * b * (n - 1)))
-        c2 = -1.0 / (b * (n - 1)) + t / (n - 1) + math.exp(-b * t) / (b * (n - 1))
+        # expm1 keeps the O(bt) terms exact where the constants cancel (bt << 1)
+        c1 = (b * t + 2.0 * math.expm1(-b * t) - n * math.expm1(-2.0 * b * t) / 2.0) / (b * (n - 1))
+        c2 = (b * t + math.expm1(-b * t)) / (b * (n - 1))
         cov = np.zeros((n, n))
         cov[0, 0] = c1
         cov[0, 1:] = c2
@@ -265,7 +263,7 @@ def closed_form_covariance(spec: FamilySpec, params: ModelParams, t: float) -> n
         return s2 * cov
     # imploding_star
     c1 = t + math.expm1(-a * t) / a
-    c2 = -3.0 / (2 * a) + t + 2.0 * math.exp(-a * t) / a - math.exp(-2.0 * a * t) / (2 * a)
+    c2 = t + 2.0 * math.expm1(-a * t) / a - math.expm1(-2.0 * a * t) / (2 * a)
     c3 = -math.expm1(-2.0 * a * t) / (2 * a)
     cov = np.empty((n, n))
     cov[0, 0] = t

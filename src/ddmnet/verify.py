@@ -96,7 +96,8 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
     # certainty routes
     spectral_report = None
     if profile.normal_laplacian and profile.strongly_connected:
-        spectral_report = certainty_spectral(spectral_decompose(lap, tol), params)
+        data = spectral_decompose(lap, tol)
+        spectral_report = certainty_spectral(data, params)
         record("spectral-route", PASS, "certainty computed from the eigenstructure")
     else:
         why = "Laplacian not normal" if not profile.normal_laplacian else "not strongly connected"
@@ -160,7 +161,6 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
         record("covariance-envelope-bounds", SKIP, "lower bound needs strong connectivity")
 
     if spectral_report is not None and g.n > 1:
-        data = spectral_decompose(lap, tol)
         rate = float(data.eigenvalues[1:].real.min())
         t_late = 12.0 / rate  # e^{-2 rate t} < 4e-11: transient is below tolerance
         var_late = np.diag(analytic_covariance(lap, params, t_late, "normal"))

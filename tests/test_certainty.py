@@ -5,6 +5,7 @@ import pytest
 
 from conftest import covariance_by_quadrature, effective_resistance_by_solve, random_connected_graph
 from ddmnet import (
+    FamilySpec,
     ModelParams,
     NotNormalError,
     NotStronglyConnectedError,
@@ -12,9 +13,11 @@ from ddmnet import (
     build_graph,
     certainty_group_inverse,
     certainty_spectral,
+    closed_form_covariance,
     covariance_curves,
     dispersion_summary,
     laplacian,
+    make_family,
     mirror_graph,
     mirror_group_inverse,
     permute_graph,
@@ -198,7 +201,7 @@ class TestAnalyticCovariance:
         for t in (0.3, 1.7):
             oracle = covariance_by_quadrature(lap, 1.0, t)
             ours = analytic_covariance(lap, PARAMS, t, "general")
-            assert np.abs(ours - oracle).max() < 1e-6
+            assert np.abs(ours - oracle).max() < 1e-9
 
     def test_small_time_behaves_like_isolated_units(self, benchmark_graph):
         lap = laplacian(benchmark_graph)
@@ -243,12 +246,28 @@ class TestAnalyticCovariance:
             assert np.allclose(grid[i], expected, atol=1e-10)
 
     def test_curves_general_route(self):
-        g = build_graph(3, [(1, 2, 1.0), (1, 3, 1.0)])  # non-normal
-        times = np.array([0.5, 1.0])
-        grid = covariance_curves(laplacian(g), PARAMS, times)
-        for i, t in enumerate(times):
-            expected = np.diag(analytic_covariance(laplacian(g), PARAMS, float(t), "general"))
-            assert np.allclose(grid[i], expected, atol=1e-9)
+        # non-normal stars; the second grid is unsorted, repeats a time and has uneven gaps
+        for kind in ("exploding_star", "imploding_star"):
+            spec = FamilySpec(kind, 4)
+            lap = laplacian(make_family(spec))
+            for times in ((0.5, 1.0), (2.0, 0.1, 1.0, 0.1, 0.35)):
+                grid = covariance_curves(lap, PARAMS, np.array(times))
+                for i, t in enumerate(times):
+                    closed = np.diag(closed_form_covariance(spec, PARAMS, t))
+                    oracle = np.diag(covariance_by_quadrature(lap, 1.0, t))
+                    assert np.abs(grid[i] - closed).max() <= 1e-12 * np.abs(closed).max(), (kind, t)
+                    assert np.abs(grid[i] - oracle).max() < 1e-9, (kind, t)
+
+    def test_rejects_non_finite_time(self, benchmark_graph):
+        lap = laplacian(benchmark_graph)
+        for t in (math.inf, math.nan):
+            for mode in ("normal", "general"):
+                with pytest.raises(ValueError):
+                    analytic_covariance(lap, PARAMS, t, mode)
+            with pytest.raises(ValueError):
+                covariance_curves(lap, PARAMS, np.array([0.0, t]))
+            with pytest.raises(ValueError):
+                closed_form_covariance(FamilySpec("complete", 5), PARAMS, t)
 
 
 class TestPropagator:

@@ -5,6 +5,7 @@ import pytest
 
 from ddmnet import graph_from_dict, graph_to_dict, load_graph
 from ddmnet.cli import main
+from ddmnet.config import DEFAULT_TOL
 
 BENCHMARK = "fixtures/five_node_benchmark.json"
 
@@ -69,6 +70,17 @@ class TestAnalyze:
         run_cli("analyze", BENCHMARK, "--output", str(out_file), capsys=capsys)
         report = json.loads(out_file.read_text())
         assert "csv_rows" not in report and "csv_fields" not in report and "curves" not in report
+
+    @pytest.mark.parametrize("command", ["analyze", "family"])
+    @pytest.mark.parametrize("flag,value", [("--t-step", "0"), ("--t-step", "-1"),
+                                            ("--t-step", "nan"), ("--t-step", "inf"),
+                                            ("--t-max", "-1"), ("--t-max", "nan"),
+                                            ("--t-max", "inf")])
+    def test_bad_curve_grid_is_usage_error(self, command, flag, value, capsys):
+        target = BENCHMARK if command == "analyze" else "complete:4:1"
+        code, out = run_cli(command, target, "--format", "curves", flag, value, capsys=capsys)
+        assert code == 2
+        assert out.err.startswith(f"error: {flag} must be finite")
 
     def test_curves_between_envelopes(self, capsys):
         code, out = run_cli("analyze", BENCHMARK, "--format", "curves",
@@ -151,6 +163,21 @@ class TestFamily:
         star = np.loadtxt(str(star_file), delimiter=",", skiprows=1)
         comp = np.loadtxt(str(comp_file), delimiter=",", skiprows=1)
         assert np.abs(star[:, 1] - comp[:, 1]).max() < 1e-9
+
+    def test_long_horizon(self, tmp_path, capsys):
+        out_file = tmp_path / "fam.json"
+        code, _ = run_cli("family", "exploding_star:4:1", "--times", "1e9",
+                          "--output", str(out_file), capsys=capsys)
+        assert code == 0
+        report = json.loads(out_file.read_text())
+        gap = report["cross_check"]["covariance_integration_gap"]["1000000000.0"]
+        assert gap <= DEFAULT_TOL.covariance_cross_atol
+
+    @pytest.mark.parametrize("times", ["inf", "nan", "-1"])
+    def test_bad_time_is_usage_error(self, times, capsys):
+        code, out = run_cli("family", "complete:4:1", "--times", times, capsys=capsys)
+        assert code == 2
+        assert out.err.startswith("error: --times must be finite")
 
     def test_bad_spec_exits_with_usage_error(self, capsys):
         code, _ = run_cli("family", "heptagon:9:1", capsys=capsys)

@@ -193,10 +193,21 @@ class TestClosedFormCovariance:
                 spec = (FamilySpec(kind, n, offsets=offsets) if kind == "circulant"
                         else FamilySpec(kind, n))
                 lap = laplacian(make_family(spec))
-                for t in (0.1, 1.0, 5.0):
+                for t in (0.1, 1.0, 5.0, 500.0):
                     gap = np.abs(closed_form_covariance(spec, PARAMS, t)
                                  - analytic_covariance(lap, PARAMS, t, "general")).max()
                     assert gap < 1e-6, (kind, n, t)
+
+    def test_stars_match_general_route_to_roundoff(self):
+        for kind in ("exploding_star", "imploding_star"):
+            for n in (2, 4, 9):
+                for alpha in (1.0, 5.0):
+                    spec = FamilySpec(kind, n, alpha)
+                    lap = laplacian(make_family(spec))
+                    for t in (1e-6, 0.1, 1.0, 5.0, 500.0):
+                        closed = closed_form_covariance(spec, PARAMS, t)
+                        gap = np.abs(closed - analytic_covariance(lap, PARAMS, t, "general")).max()
+                        assert gap <= 1e-12 * np.abs(closed).max(), (kind, n, alpha, t)
 
     def test_zero_time(self):
         assert np.all(closed_form_covariance(FamilySpec("complete", 4), PARAMS, 0.0) == 0.0)
