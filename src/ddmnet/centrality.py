@@ -10,11 +10,12 @@ centrality back to the node certainty index.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from .certainty import CertaintyReport, ModelParams, _report_from_inv_mu
 from .config import DEFAULT_TOL, Tolerances
@@ -36,28 +37,16 @@ def geodesic_closeness(g: WeightedDigraph) -> tuple[np.ndarray, tuple[float, ...
     """All-pairs geodesic distances (edge length 1/w) and per-node closeness.
 
     Closeness of a node is the inverse of its mean distance to all nodes,
-    the zero self-distance included. Dijkstra with a binary heap; lengths
-    are positive by construction.
+    the zero self-distance included. Distances come from scipy's Dijkstra
+    over the arcs; lengths are positive by construction.
     """
     _require_undirected(g)
     n = g.n
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for k, j, w in g.edges:
-        adj[k - 1].append((j - 1, 1.0 / w))
-    dist = np.full((n, n), math.inf)
-    for src in range(n):
-        row = dist[src]
-        row[src] = 0.0
-        heap = [(0.0, src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > row[u]:
-                continue
-            for v, length in adj[u]:
-                nd = d + length
-                if nd < row[v]:
-                    row[v] = nd
-                    heapq.heappush(heap, (nd, v))
+    arcs = np.array(g.edges, dtype=float).reshape(-1, 3)
+    rows = arcs[:, 0].astype(int) - 1
+    cols = arcs[:, 1].astype(int) - 1
+    lengths = csr_matrix((1.0 / arcs[:, 2], (rows, cols)), shape=(n, n))
+    dist = shortest_path(lengths, method="D", directed=True)
     if not np.all(np.isfinite(dist)):
         raise DisconnectedGraphError("graph is disconnected: some geodesic distances are infinite")
     means = dist.sum(axis=1) / n

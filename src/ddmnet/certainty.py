@@ -19,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DisconnectedGraphError, GraphValidationError, NotNormalError, NotStronglyConnectedError
-from .graph import WeightedDigraph, build_graph, is_normal, is_strongly_connected, normality_residual
+from .graph import is_normal, normality_residual
 
 INFINITE_CERTAINTY = math.inf
 
@@ -35,8 +37,10 @@ class ModelParams:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,19 +99,6 @@ def _report_from_inv_mu(inv_mu: np.ndarray, route: str, kirchhoff: float, sigma:
     )
 
 
-def _digraph_from_laplacian(lap: np.ndarray) -> WeightedDigraph:
-    n = lap.shape[0]
-    edges = []
-    for k in range(n):
-        for j in range(n):
-            if k != j and lap[k, j] != 0.0:
-                edges.append((k + 1, j + 1, -float(lap[k, j])))
-    try:
-        return build_graph(n, edges)
-    except GraphValidationError as exc:
-        raise GraphValidationError(f"matrix is not a valid Laplacian: {exc}") from exc
-
-
 def spectral_decompose(lap: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
     """Unitary eigendecomposition of a normal, strongly connected Laplacian.
 
@@ -120,13 +111,20 @@ def spectral_decompose(lap: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectr
     """
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[0]
-    if lap.shape != (n, n):
-        raise GraphValidationError(f"Laplacian must be square, got shape {lap.shape}")
+    if n == 0 or lap.shape != (n, n):
+        raise GraphValidationError(f"Laplacian must be a non-empty square matrix, got shape {lap.shape}")
     if not is_normal(lap, tol):
         raise NotNormalError(
             f"Laplacian is not normal: commutator residual {normality_residual(lap):.3e}"
         )
-    if not is_strongly_connected(_digraph_from_laplacian(lap)):
+    off = lap.copy()
+    np.fill_diagonal(off, 0.0)
+    bad = np.argwhere(~(np.isfinite(off) & (off <= 0.0)))
+    if bad.size:
+        k, j = bad[0]
+        raise GraphValidationError(f"matrix is not a valid Laplacian: edge ({k + 1}, {j + 1}): "
+                                   f"weight must be finite and > 0, got {-float(lap[k, j])}")
+    if connected_components(csr_matrix(off), directed=True, connection="strong")[0] != 1:
         raise NotStronglyConnectedError("graph is not strongly connected")
 
     scale = max(1.0, float(np.linalg.norm(lap, "fro")))

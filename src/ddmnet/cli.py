@@ -39,7 +39,7 @@ from .certainty import (
 )
 from .errors import DdmnetError, PathCapExceededError
 from .families import closed_form_covariance, closed_form_mu, make_family, parse_family_spec
-from .graph import WeightedDigraph, classify, graph_to_dict, laplacian, load_graph, mirror_graph
+from .graph import GraphProfile, WeightedDigraph, classify, graph_to_dict, laplacian, load_graph, mirror_graph
 from .simulate import SimConfig, empirical_moments, simulate_ensemble, validate_moments
 from .verify import FAIL, run_checks
 
@@ -48,8 +48,7 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
 
-def _profile_dict(g: WeightedDigraph) -> dict:
-    p = classify(g)
+def _profile_dict(p: GraphProfile) -> dict:
     return {
         "out_degree": list(p.out_degree),
         "in_degree": list(p.in_degree),
@@ -60,12 +59,10 @@ def _profile_dict(g: WeightedDigraph) -> dict:
     }
 
 
-def _base_report(command: str, config: dict, g: WeightedDigraph | None = None) -> dict:
-    report: dict = {"command": command, "version": __version__, "config": config}
-    if g is not None:
-        report["graph"] = graph_to_dict(g)
-        report["profile"] = _profile_dict(g)
-    return report
+def _base_report(command: str, config: dict, g: WeightedDigraph,
+                 profile: GraphProfile | None = None) -> dict:
+    return {"command": command, "version": __version__, "config": config,
+            "graph": graph_to_dict(g), "profile": _profile_dict(profile or classify(g))}
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -151,7 +148,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     profile = classify(g)
     config = {"graph_file": args.graph, "sigma": args.sigma, "beta": args.beta,
               "format": args.format, "t_max": args.t_max, "t_step": args.t_step}
-    report = _base_report("analyze", config, g)
+    report = _base_report("analyze", config, g, profile)
     lap = laplacian(g)
     mirror = mirror_graph(g)
     lap_mirror = laplacian(mirror)

@@ -47,8 +47,10 @@ class SimConfig:
     sample_times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.step > 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
+        if not math.isfinite(self.t_max):
+            raise ValueError(f"t_max must be finite, got {self.t_max}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
         if self.trajectories < 2:
             raise ValueError(f"need at least 2 trajectories, got {self.trajectories}")
         if self.seed < 0:

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph, random_tree
 from ddmnet import (
@@ -30,6 +33,33 @@ def undirected(n, pairs, w=1.0):
     return build_graph(n, edges)
 
 
+@st.composite
+def connected_weighted_graphs(draw):
+    """Connected undirected graphs on at most 12 nodes: a random recursive
+    tree plus any extra pairs, every edge weighted in [1e-3, 1e3]."""
+    n = draw(st.integers(1, 12))
+    pairs = {(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)}
+    all_pairs = list(itertools.combinations(range(1, n + 1), 2))
+    if all_pairs:
+        pairs |= draw(st.sets(st.sampled_from(all_pairs)))
+    edges = []
+    for a, b in sorted(pairs):
+        w = draw(st.floats(1e-3, 1e3))
+        edges += [(a, b, w), (b, a, w)]
+    return build_graph(n, edges)
+
+
+def floyd_warshall(g):
+    """All-pairs geodesic distances by min-plus relaxation over every intermediate node."""
+    d = np.full((g.n, g.n), math.inf)
+    np.fill_diagonal(d, 0.0)
+    for k, j, w in g.edges:
+        d[k - 1, j - 1] = 1.0 / w
+    for m in range(g.n):
+        d = np.minimum(d, d[:, m, None] + d[None, m, :])
+    return d
+
+
 class TestCloseness:
     def test_benchmark_table(self, benchmark_graph):
         _, closeness = geodesic_closeness(benchmark_graph)
@@ -53,6 +83,16 @@ class TestCloseness:
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedGraphError):
             geodesic_closeness(undirected(4, [(1, 2), (3, 4)]))
+
+    @settings(deadline=None)
+    @given(connected_weighted_graphs())
+    def test_matches_floyd_warshall(self, g):
+        dist, closeness = geodesic_closeness(g)
+        expected = floyd_warshall(g)
+        np.testing.assert_allclose(dist, expected, rtol=1e-12)
+        sums = expected.sum(axis=1)
+        np.testing.assert_allclose(closeness, [math.inf if s == 0 else g.n / s for s in sums],
+                                   rtol=1e-12)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(9)

@@ -25,7 +25,7 @@ from ddmnet import (
     spectral_decompose,
     variance_envelope,
 )
-from ddmnet.errors import DisconnectedGraphError
+from ddmnet.errors import DisconnectedGraphError, GraphValidationError
 
 PARAMS = ModelParams(beta=1.0, sigma=1.0)
 
@@ -68,6 +68,17 @@ class TestSpectralDecompose:
         g = undirected(4, [(1, 2), (3, 4)])
         with pytest.raises(NotStronglyConnectedError):
             spectral_decompose(laplacian(g))
+
+    def test_rejects_disjoint_directed_rings(self):
+        # normal (two circulant blocks), so only the connectivity test can reject it
+        lap = np.kron(np.eye(2), laplacian(directed_ring(3)))
+        with pytest.raises(NotStronglyConnectedError):
+            spectral_decompose(lap)
+
+    def test_rejects_positive_off_diagonal(self):
+        lap = -laplacian(directed_ring(3))  # normal, with +1 off the diagonal
+        with pytest.raises(GraphValidationError, match="not a valid Laplacian"):
+            spectral_decompose(lap)
 
     def test_unitary_and_residual(self):
         rng = np.random.default_rng(2)

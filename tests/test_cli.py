@@ -210,6 +210,23 @@ class TestSimulate:
         assert code == 2
 
 
+class TestInputContract:
+    @pytest.mark.parametrize("argv,field", [
+        (("analyze", BENCHMARK, "--sigma", "inf"), "sigma"),
+        (("analyze", BENCHMARK, "--beta", "nan"), "beta"),
+        (("family", "complete:4:1", "--beta=-inf"), "beta"),
+        (("verify", BENCHMARK, "--sigma", "nan"), "sigma"),
+        (("simulate", BENCHMARK, "--sigma", "inf"), "sigma"),
+        (("simulate", BENCHMARK, "--t-max", "nan"), "t_max"),
+        (("simulate", BENCHMARK, "--step", "inf"), "step"),
+    ])
+    def test_non_finite_value_is_usage_error(self, argv, field, capsys):
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 2
+        assert out.err.startswith(f"error: {field} must be finite")
+        assert out.out == ""
+
+
 class TestVerify:
     def test_benchmark_all_checks_pass(self, tmp_path, capsys):
         out_file = tmp_path / "verify.json"
