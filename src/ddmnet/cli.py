@@ -337,10 +337,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     params = ModelParams(beta=args.beta, sigma=args.sigma)
-    results = run_checks(g, params, oracle_cap=args.oracle_cap)
+    profile = classify(g)
+    results = run_checks(g, params, oracle_cap=args.oracle_cap, profile=profile)
     config = {"graph_file": args.graph, "sigma": args.sigma, "beta": args.beta,
               "oracle_cap": args.oracle_cap, "format": args.format}
-    report = _base_report("verify", config, g)
+    report = _base_report("verify", config, g, profile)
     report["checks"] = [{"name": r.name, "status": r.status, "detail": r.detail} for r in results]
     failed = [r for r in results if r.status == FAIL]
     report["passed"] = not failed
@@ -399,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trajectories", type=int, default=10000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--sample-times", default="1,5", help="comma-separated, must lie on the step grid")
-    p_sim.add_argument("--workers", type=int, default=1, help="process count (result is identical)")
+    p_sim.add_argument("--workers", type=int, default=None,
+                       help="process count, capped at one per 1024-trajectory chunk "
+                            "(default: every usable CPU; result is identical)")
     p_sim.add_argument("--gate", type=float, default=4.0, help="z-score gate for diagonal entries")
     p_sim.set_defaults(func=cmd_simulate)
 

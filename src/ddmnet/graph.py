@@ -9,6 +9,7 @@ on the diagonal.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -59,13 +60,14 @@ class GraphProfile:
 def build_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedDigraph:
     """Validate and canonicalize a weighted edge list into a WeightedDigraph.
 
-    Rejects self-loops, nonpositive weights, out-of-range node indices and
-    duplicate (source, target) pairs.
+    Rejects self-loops, nonpositive weights, out-of-range node indices,
+    duplicate (source, target) pairs and weighted degrees that overflow.
     """
     if not isinstance(n, int) or n < 1:
         raise GraphValidationError(f"node count must be a positive integer, got {n!r}")
     seen: set[tuple[int, int]] = set()
     canon: list[tuple[int, int, float]] = []
+    total = 0.0
     for edge in edges:
         try:
             k, j, w = edge
@@ -84,7 +86,17 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedDigr
             raise GraphValidationError(f"duplicate edge ({k}, {j})")
         seen.add((k, j))
         canon.append((k, j, w))
+        total += w
     canon.sort()
+    # no weighted degree exceeds the total weight, so a finite total clears them all
+    if total == math.inf:
+        src, dst, wts = (np.array(col) for col in zip(*canon))
+        for label, nodes in (("out", src), ("in", dst)):
+            degree = np.bincount(nodes, weights=wts, minlength=n + 1)
+            bad = np.flatnonzero(~np.isfinite(degree))
+            if bad.size:
+                raise GraphValidationError(
+                    f"node {bad[0]}: weighted {label}-degree is not finite ({degree[bad[0]]})")
     return WeightedDigraph(n=n, edges=tuple(canon))
 
 

@@ -9,11 +9,16 @@ seed XOR trajectory index), so serial and parallel runs, and runs split
 across any number of workers, produce bit-identical moment sums. Moments
 are accumulated streaming (one pass, O(n^2) memory independent of the
 trajectory count) in a fixed chunk order.
+
+Chunks of CHUNK_TRAJECTORIES trajectories run in a process pool with one
+worker per chunk, up to the number of CPUs this process may use; a single
+chunk or a single worker runs in-process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -23,10 +28,13 @@ from .certainty import ModelParams
 from .errors import UnstableStepError
 from .graph import WeightedDigraph, laplacian
 
-# fixed constants of the deterministic-merge contract: results must not
-# depend on the worker count, so chunk and panel sizes never vary
+# the chunk size is part of the deterministic-merge contract: chunk sums are
+# merged in chunk order, so results do not depend on the worker count
 CHUNK_TRAJECTORIES = 1024
-PANEL_STEPS = 1000
+# steps of noise drawn per generator call; each trajectory's stream is read in
+# order whatever the panel length, so it sets memory (batch x panel x n
+# doubles per chunk), not results
+PANEL_STEPS = 250
 
 _GRID_RTOL = 1e-9
 
@@ -151,12 +159,24 @@ def _simulate_chunk(lap: np.ndarray, cfg: SimConfig, lo: int, hi: int,
     return sums, outers
 
 
-def simulate_ensemble(g: WeightedDigraph, cfg: SimConfig, workers: int = 1) -> Ensemble:
+def _worker_count(requested: int | None, chunks: int) -> int:
+    """Processes to use: `requested` (None: every usable CPU), at most one per chunk."""
+    if requested is None:
+        try:
+            requested = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity mask on this platform
+            requested = os.cpu_count() or 1
+    return max(1, min(requested, chunks))
+
+
+def simulate_ensemble(g: WeightedDigraph, cfg: SimConfig, workers: int | None = None) -> Ensemble:
     """Simulate the ensemble and accumulate moment sums at the sample times.
 
     Deterministic for a given (graph, config) regardless of `workers`:
     trajectories are chunked by a fixed size, each chunk's sums are computed
     from per-trajectory streams, and chunks are merged in index order.
+    `workers=None` uses every CPU this process may run on; the pool never
+    has more processes than chunks.
     """
     lap = laplacian(g)
     norm_inf = float(np.abs(lap).sum(axis=1).max())
@@ -169,12 +189,15 @@ def simulate_ensemble(g: WeightedDigraph, cfg: SimConfig, workers: int = 1) -> E
               for lo in range(0, cfg.trajectories, CHUNK_TRAJECTORIES)]
     sums = np.zeros((len(sample_steps), g.n))
     outers = np.zeros((len(sample_steps), g.n, g.n))
-    if workers <= 1 or len(bounds) == 1:
+    workers = _worker_count(workers, len(bounds))
+    if workers == 1:
         results = (_simulate_chunk(lap, cfg, lo, hi, sample_steps) for lo, hi in bounds)
         for s, o in results:
             sums += s
             outers += o
     else:
+        # the platform's default start method: where it is fork, workers reuse
+        # the parent's numpy/scipy imports instead of paying for them again
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_simulate_chunk, lap, cfg, lo, hi, sample_steps)
                        for lo, hi in bounds]

@@ -34,7 +34,15 @@ from .certainty import (
 )
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DdmnetError, PathCapExceededError
-from .graph import WeightedDigraph, classify, laplacian, laplacian_row_residual, mirror_graph
+from .graph import (
+    GraphProfile,
+    WeightedDigraph,
+    classify,
+    is_strongly_connected,
+    laplacian,
+    laplacian_row_residual,
+    mirror_graph,
+)
 from .simulate import SimConfig, simulate_ensemble
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
@@ -54,12 +62,16 @@ def _rel_gap(a: float, b: float) -> float:
 
 
 def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
-               tol: Tolerances = DEFAULT_TOL, oracle_cap: int = 8) -> list[CheckResult]:
-    """Run the full invariant suite against one graph."""
+               tol: Tolerances = DEFAULT_TOL, oracle_cap: int = 8,
+               profile: GraphProfile | None = None) -> list[CheckResult]:
+    """Run the full invariant suite against one graph.
+
+    `profile` is `classify(g, tol)` when the caller already has it.
+    """
     params = params or ModelParams()
     results: list[CheckResult] = []
     lap = laplacian(g)
-    profile = classify(g, tol)
+    profile = profile or classify(g, tol)
     mirror = mirror_graph(g)
     lap_mirror = laplacian(mirror)
 
@@ -191,7 +203,15 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
            f"{sim_cfg.trajectories} trajectories, {sim_cfg.total_steps} steps, repeated run")
 
     # path-enumeration oracle vs matrix information on the mirror
-    if mirror.n <= oracle_cap and mirror.n > 1:
+    if mirror.n <= 1:
+        record("path-oracle-vs-matrix-information", SKIP, "single node")
+    elif mirror.n > oracle_cap:
+        record("path-oracle-vs-matrix-information", SKIP,
+               f"n = {mirror.n} exceeds the oracle cap {oracle_cap}")
+    elif not is_strongly_connected(mirror):
+        record("path-oracle-vs-matrix-information", SKIP,
+               "mirror graph is disconnected; pairwise information is undefined")
+    else:
         try:
             info = information_matrix(lap_mirror)
             worst_pair = 0.0
@@ -215,9 +235,6 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
             record("path-oracle-vs-matrix-information", status, detail)
         except PathCapExceededError as exc:
             record("path-oracle-vs-matrix-information", SKIP, str(exc))
-    else:
-        record("path-oracle-vs-matrix-information", SKIP,
-               f"n = {mirror.n} exceeds the oracle cap {oracle_cap}" if mirror.n > 1 else "single node")
 
     return results
 

@@ -13,7 +13,6 @@ the table's provenance is checked rather than left as a standing failure.
 
 import json
 import math
-import os
 import time
 from contextlib import contextmanager
 
@@ -49,13 +48,6 @@ from ddmnet import (
 from ddmnet.cli import main as cli_main
 
 PARAMS = ModelParams(beta=1.0, sigma=1.0)
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @contextmanager
@@ -219,8 +211,7 @@ def test_criterion_7_monte_carlo_validation():
         # variance and mean gates at the mandated step
         cfg_a = SimConfig(PARAMS, t_max=5.0, step=1e-3, trajectories=100_000, seed=20240601,
                           sample_times=(5.0,))
-        workers = usable_cpus()
-        moments = empirical_moments(simulate_ensemble(g, cfg_a, workers), 5.0)
+        moments = empirical_moments(simulate_ensemble(g, cfg_a), 5.0)
         target = analytic_covariance(lap, PARAMS, 5.0, "normal")
         for k in range(5):
             z = (moments.covariance[k, k] - target[k, k]) / moments.se_covariance[k, k]
@@ -232,7 +223,7 @@ def test_criterion_7_monte_carlo_validation():
         # the budget (discretization bias ~ h * Re(lambda) / 2 < 1.2%)
         cfg_b = SimConfig(PARAMS, t_max=5.0, step=5e-3, trajectories=1_000_000, seed=20240602,
                           sample_times=(3.0, 4.0, 5.0))
-        ens = simulate_ensemble(g, cfg_b, workers)
+        ens = simulate_ensemble(g, cfg_b)
         gaps = np.zeros((3, 5))
         for i, t in enumerate((3.0, 4.0, 5.0)):
             rep = empirical_moments(ens, t)
@@ -302,9 +293,12 @@ def test_criterion_10_simulation_determinism(tmp_path):
         out1 = tmp_path / "w1.json"
         out2 = tmp_path / "w2.json"
         out4 = tmp_path / "w4.json"
+        out_default = tmp_path / "default.json"
         assert cli_main(args + ["--workers", "1", "--output", str(out1)]) == 0
         assert cli_main(args + ["--workers", "2", "--output", str(out2)]) == 0
         assert cli_main(args + ["--workers", "4", "--output", str(out4)]) == 0
-        assert out1.read_bytes() == out2.read_bytes() == out4.read_bytes()
+        assert cli_main(args + ["--output", str(out_default)]) == 0
+        assert (out1.read_bytes() == out2.read_bytes() == out4.read_bytes()
+                == out_default.read_bytes())
         report = json.loads(out1.read_text())
         assert report["passed"]

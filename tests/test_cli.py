@@ -252,6 +252,21 @@ class TestVerify:
         assert statuses["covariance-envelope-bounds"] == "SKIP"
         assert statuses["row-stochastic-propagator"] == "PASS"
 
+    def test_disconnected_graph_records_every_check(self, tmp_path, capsys):
+        out_ref = tmp_path / "ref.json"
+        assert run_cli("verify", BENCHMARK, "--output", str(out_ref), capsys=capsys)[0] == 0
+        names = [c["name"] for c in json.loads(out_ref.read_text())["checks"]]
+        path = write_graph(tmp_path, {"n": 4, "edges": [[1, 2, 1], [3, 4, 1]], "undirected": True})
+        out_file = tmp_path / "verify.json"
+        code, out = run_cli("verify", path, "--output", str(out_file), capsys=capsys)
+        assert code in (0, 1)
+        assert "Traceback" not in out.err
+        report = json.loads(out_file.read_text())
+        assert [c["name"] for c in report["checks"]] == names
+        statuses = {c["name"]: c["status"] for c in report["checks"]}
+        assert statuses["path-oracle-vs-matrix-information"] == "SKIP"
+        assert statuses["spectral-route"] == "SKIP"
+
 
 class TestGraphIO:
     def test_round_trip(self, tmp_path):
@@ -264,6 +279,15 @@ class TestGraphIO:
     def test_missing_file_is_usage_error(self, capsys):
         code, _ = run_cli("analyze", "nope.json", capsys=capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "centrality", "verify"])
+    def test_overflowing_degree_is_usage_error(self, command, tmp_path, capsys):
+        path = write_graph(tmp_path, {"n": 3, "edges": [[1, 2, 1e308], [1, 3, 1e308], [2, 3, 1e308]],
+                                      "undirected": True})
+        code, out = run_cli(command, path, capsys=capsys)
+        assert code == 2
+        assert out.err.startswith("error: node 1: weighted out-degree is not finite")
+        assert out.out == ""
 
     def test_malformed_weight_is_usage_error(self, tmp_path, capsys):
         path = write_graph(tmp_path, {"n": 2, "edges": [[1, 2, "x"]]})

@@ -53,6 +53,17 @@ class TestBuildGraph:
         with pytest.raises(GraphValidationError):
             build_graph(2, [(1, 2, 0.0)])
 
+    def test_rejects_overflowing_degree_naming_the_node(self):
+        with pytest.raises(GraphValidationError, match="node 1: weighted out-degree"):
+            build_graph(3, [(1, 2, 1e308), (1, 3, 1e308)])
+        with pytest.raises(GraphValidationError, match="node 3: weighted in-degree"):
+            build_graph(3, [(1, 3, 1e308), (2, 3, 1e308)])
+
+    def test_large_weights_on_separate_nodes_accepted(self):
+        # the total weight overflows, but no single degree does
+        g = build_graph(4, [(1, 2, 1e308), (3, 4, 1e308)])
+        assert np.isfinite(np.diag(laplacian(g))).all()
+
 
 class TestLaplacian:
     def test_two_node(self):

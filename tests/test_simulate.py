@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+import ddmnet.simulate as simulate_module
 from ddmnet import (
     ModelParams,
     SimConfig,
@@ -67,9 +69,22 @@ class TestDeterminism:
         cfg = SimConfig(PARAMS, t_max=0.2, step=0.01, trajectories=2200, seed=7,
                         sample_times=(0.2,))
         serial = simulate_ensemble(benchmark_graph, cfg, workers=1)
-        parallel = simulate_ensemble(benchmark_graph, cfg, workers=3)
-        assert np.array_equal(serial.sums, parallel.sums)
-        assert np.array_equal(serial.outers, parallel.outers)
+        for parallel in (simulate_ensemble(benchmark_graph, cfg, workers=3),
+                         simulate_ensemble(benchmark_graph, cfg)):  # default: usable CPUs
+            assert np.array_equal(serial.sums, parallel.sums)
+            assert np.array_equal(serial.outers, parallel.outers)
+
+    def test_panel_length_does_not_change_results(self, benchmark_graph, monkeypatch):
+        # two chunks, 600 steps: panels of 7 and 250 split the run, 1000 does not
+        cfg = SimConfig(PARAMS, t_max=0.6, step=1e-3, trajectories=1100, seed=3,
+                        sample_times=(0.007, 0.25, 0.6))
+        runs = []
+        for panel in (1000, 250, 7):
+            monkeypatch.setattr(simulate_module, "PANEL_STEPS", panel)
+            runs.append(simulate_ensemble(benchmark_graph, cfg, workers=1))
+        for other in runs[1:]:
+            assert np.array_equal(runs[0].sums, other.sums)
+            assert np.array_equal(runs[0].outers, other.outers)
 
     def test_different_seeds_differ(self, benchmark_graph):
         cfg_a = SimConfig(PARAMS, t_max=0.1, step=0.01, trajectories=50, seed=1, sample_times=(0.1,))
@@ -77,6 +92,33 @@ class TestDeterminism:
         a = simulate_ensemble(benchmark_graph, cfg_a)
         b = simulate_ensemble(benchmark_graph, cfg_b)
         assert not np.array_equal(a.sums, b.sums)
+
+
+class TestWorkerCount:
+    """Pool sizing only; none of these start a process."""
+
+    def test_default_is_usable_cpus_capped_at_chunks(self):
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert simulate_module._worker_count(None, 10_000) == usable
+        assert simulate_module._worker_count(None, 1) == 1
+
+    def test_default_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert simulate_module._worker_count(None, 3) == 3
+        assert simulate_module._worker_count(None, 100) == 8
+
+    def test_default_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert simulate_module._worker_count(None, 100) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulate_module._worker_count(None, 100) == 1
+
+    def test_explicit_count_is_capped_at_chunks(self):
+        assert simulate_module._worker_count(64, 2) == 2
+        assert simulate_module._worker_count(1, 5) == 1
+        assert simulate_module._worker_count(3, 5) == 3
+        assert simulate_module._worker_count(0, 5) == 1
 
 
 class TestMoments:
