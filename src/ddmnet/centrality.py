@@ -42,10 +42,7 @@ def geodesic_closeness(g: WeightedDigraph) -> tuple[np.ndarray, tuple[float, ...
     """
     _require_undirected(g)
     n = g.n
-    arcs = np.array(g.edges, dtype=float).reshape(-1, 3)
-    rows = arcs[:, 0].astype(int) - 1
-    cols = arcs[:, 1].astype(int) - 1
-    lengths = csr_matrix((1.0 / arcs[:, 2], (rows, cols)), shape=(n, n))
+    lengths = csr_matrix((1.0 / g.w, (g.src - 1, g.dst - 1)), shape=(n, n))
     dist = shortest_path(lengths, method="D", directed=True)
     if not np.all(np.isfinite(dist)):
         raise DisconnectedGraphError("graph is disconnected: some geodesic distances are infinite")

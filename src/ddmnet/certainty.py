@@ -265,6 +265,8 @@ def _covariance_step(lap: np.ndarray, sigma2: float, t: float) -> tuple[np.ndarr
     """
     n = lap.shape[0]
     scaled = float(np.abs(lap).sum(axis=1).max()) * t
+    if not math.isfinite(scaled):
+        raise ValueError(f"||L||_inf * t = {scaled} is not finite at t = {t}")
     k = math.ceil(math.log2(scaled)) if scaled > 1.0 else 0
     tau = t / 2.0**k
     block = np.zeros((2 * n, 2 * n))

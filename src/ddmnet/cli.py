@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .certainty import (
 )
 from .errors import DdmnetError, PathCapExceededError
 from .families import closed_form_covariance, closed_form_mu, make_family, parse_family_spec
-from .graph import GraphProfile, WeightedDigraph, classify, graph_to_dict, laplacian, load_graph, mirror_graph
+from .graph import GraphProfile, WeightedDigraph, classify, laplacian, load_graph, mirror_graph
 from .simulate import SimConfig, empirical_moments, simulate_ensemble, validate_moments
 from .verify import FAIL, run_checks
 
@@ -62,7 +63,7 @@ def _profile_dict(p: GraphProfile) -> dict:
 def _base_report(command: str, config: dict, g: WeightedDigraph,
                  profile: GraphProfile | None = None) -> dict:
     return {"command": command, "version": __version__, "config": config,
-            "graph": graph_to_dict(g), "profile": _profile_dict(profile or classify(g))}
+            "graph": g, "profile": _profile_dict(profile or classify(g))}
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -76,6 +77,33 @@ def _emit(text: str, path: str | None) -> None:
             raise DdmnetError(f"cannot write {path}: {exc}") from exc
 
 
+# Where json.dumps(indent=2, sort_keys=True) puts the graph echo's empty edge
+# list. JSON strings hold no raw newline, so no user text can match this.
+_EMPTY_EDGES = '\n  "graph": {\n    "edges": [],'
+
+
+def _json_text(body: dict) -> str:
+    """json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n", where
+    body["graph"] is a WeightedDigraph echoed as graph_to_dict would give it.
+
+    The edge list is rendered with one join over the arc arrays and spliced
+    in; it holds ints and finite floats, written as json writes them (repr).
+    """
+    g = body["graph"]
+    text = json.dumps({**body, "graph": {"n": g.n, "edges": [], "undirected": False}},
+                      indent=2, sort_keys=True, allow_nan=False)
+    if not g.src.size:
+        return text + "\n"
+    ks, js = g.src.tolist(), g.dst.tolist()
+    nodes = {*ks, *js}  # each node label is formatted once, not once per arc
+    head = {k: f",\n      [\n        {k},\n        " for k in nodes}
+    tail = {j: f"{j},\n        " for j in nodes}
+    block = "".join(chain.from_iterable(zip(
+        map(head.__getitem__, ks), map(tail.__getitem__, js), map(repr, g.w.tolist()),
+        repeat("\n      ]"))))
+    return text.replace(_EMPTY_EDGES, _EMPTY_EDGES[:-2] + "\n" + block[2:] + "\n    ],", 1) + "\n"
+
+
 def emit_report(report: dict, fmt: str, path: str | None) -> None:
     """Serialize a report deterministically (sorted keys, repr floats).
 
@@ -84,7 +112,7 @@ def emit_report(report: dict, fmt: str, path: str | None) -> None:
     """
     if fmt == "json":
         body = {k: v for k, v in report.items() if k not in ("csv_rows", "csv_fields", "curves")}
-        _emit(json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
+        _emit(_json_text(body), path)
         return
     if fmt == "csv":
         rows = report.get("csv_rows")
@@ -268,8 +296,11 @@ def cmd_family(args: argparse.Namespace) -> int:
         cross["inv_mu_spectral_gap"] = gap
     cov_gaps = {}
     for t in check_times:
-        gap = float(np.abs(closed_form_covariance(spec, params, t)
-                           - analytic_covariance(lap, params, t, "general")).max())
+        try:
+            general = analytic_covariance(lap, params, t, "general")
+        except ValueError as exc:
+            raise ValueError(f"--times {t}: {exc}") from exc
+        gap = float(np.abs(closed_form_covariance(spec, params, t) - general).max())
         cov_gaps[str(t)] = gap
     cross["covariance_integration_gap"] = cov_gaps
     report["cross_check"] = cross

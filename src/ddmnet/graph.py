@@ -4,6 +4,13 @@ Nodes are 1-based everywhere in the public interface. A directed edge
 (k, j, w) means node k observes node j's state with attention weight w > 0,
 so the Laplacian row of k carries -w at column j and the weighted out-degree
 on the diagonal.
+
+A graph stores its arcs as three read-only arrays, `src`, `dst` (int64) and
+`w` (float64), sorted by (src, dst). The routines an analysis runs read
+those arrays with whole-array numpy operations; `edges` rebuilds the
+(k, j, w) triples for callers that want them. Validation of outside input is vectorised too:
+a check runs once over all edges, and only the first edge that fails is
+examined on its own, to report it with the same message in edge order.
 """
 
 from __future__ import annotations
@@ -11,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -21,28 +29,50 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import GraphFormatError, GraphValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDigraph:
-    """Immutable weighted digraph with a canonical (sorted, deduplicated) edge list."""
+    """Immutable weighted digraph stored as canonical arc arrays.
+
+    Arc i is (src[i], dst[i], w[i]). The arrays are read-only, sorted by
+    (src, dst), and hold no pair twice. The constructor trusts its arguments:
+    outside input goes through `build_graph`, which validates.
+    """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.src, self.dst, self.w):
+            arr.flags.writeable = False
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The arcs as (source, target, weight) triples in canonical order."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightedDigraph):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.src, other.src)
+                and np.array_equal(self.dst, other.dst) and np.array_equal(self.w, other.w))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.src.tobytes(), self.dst.tobytes(), self.w.tobytes()))
 
     def adjacency(self) -> np.ndarray:
         """Dense weighted adjacency matrix A with A[k-1, j-1] = w for edge (k, j, w)."""
         a = np.zeros((self.n, self.n))
-        for k, j, w in self.edges:
-            a[k - 1, j - 1] = w
+        a[self.src - 1, self.dst - 1] = self.w
         return a
 
     def is_undirected(self, rtol: float = 1e-12) -> bool:
         """True if every edge has a reverse edge of equal weight."""
-        weights = {(k, j): w for k, j, w in self.edges}
-        for (k, j), w in weights.items():
-            wr = weights.get((j, k))
-            if wr is None or abs(wr - w) > rtol * max(1.0, abs(w)):
-                return False
-        return True
+        # ordered by (dst, src), the reverse of arc i sits at rev[i] exactly when every arc has one
+        rev = np.lexsort((self.src, self.dst))
+        return (np.array_equal(self.dst[rev], self.src) and np.array_equal(self.src[rev], self.dst)
+                and bool(np.all(np.abs(self.w[rev] - self.w) <= rtol * np.maximum(1.0, self.w))))
 
 
 @dataclass(frozen=True)
@@ -57,47 +87,129 @@ class GraphProfile:
     normality_residual: float
 
 
+def _first(mask: np.ndarray, default: int) -> int:
+    """Index of the first True in mask, or default when there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else default
+
+
+def _unpacked(edges: list) -> list:
+    """The leading edges that unpack into three values, as tuples; stops at the first that does not."""
+    triples = []
+    for edge in edges:
+        try:
+            k, j, w = edge
+        except (TypeError, ValueError):
+            break
+        triples.append((k, j, w))
+    return triples
+
+
+def _check_edge(edge: object, triple: tuple | None, n: int) -> None:
+    """Raise build_graph's error for one edge taken alone, its checks in order.
+
+    `triple` is the edge unpacked, or None when it does not unpack.
+    """
+    if triple is None:
+        raise GraphValidationError(f"edge {edge!r} is not a (source, target, weight) triple")
+    k, j, w = triple
+    if not (isinstance(k, int) and isinstance(j, int)):
+        raise GraphValidationError(f"edge {edge!r}: node indices must be integers")
+    if not (1 <= k <= n and 1 <= j <= n):
+        raise GraphValidationError(f"edge {edge!r}: node index out of range 1..{n}")
+    if k == j:
+        raise GraphValidationError(f"edge {edge!r}: self-loops are not allowed")
+    w = float(w)
+    if not w > 0 or not np.isfinite(w):
+        raise GraphValidationError(f"edge ({k}, {j}): weight must be finite and > 0, got {w}")
+
+
+def _weights(values: tuple) -> np.ndarray:
+    """float(w) of the leading values that convert; stops before the first that raises."""
+    if set(map(type, values)) <= {float, int, bool}:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            pass
+    converted = []
+    for value in values:
+        try:
+            converted.append(float(value))
+        except (TypeError, ValueError, OverflowError):  # _check_edge raises it again
+            break
+    return np.array(converted, dtype=float)
+
+
+def _check_node_count(n: object) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise GraphValidationError(f"node count must be a positive integer, got {n!r}")
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedDigraph:
     """Validate and canonicalize a weighted edge list into a WeightedDigraph.
 
     Rejects self-loops, nonpositive weights, out-of-range node indices,
     duplicate (source, target) pairs and weighted degrees that overflow.
+    The first edge in input order that fails a check is reported, its checks
+    in the order above (arity and index type first); a duplicate is reported
+    at its second occurrence.
     """
-    if not isinstance(n, int) or n < 1:
-        raise GraphValidationError(f"node count must be a positive integer, got {n!r}")
-    seen: set[tuple[int, int]] = set()
-    canon: list[tuple[int, int, float]] = []
-    total = 0.0
-    for edge in edges:
-        try:
-            k, j, w = edge
-        except (TypeError, ValueError) as exc:
-            raise GraphValidationError(f"edge {edge!r} is not a (source, target, weight) triple") from exc
-        if not (isinstance(k, int) and isinstance(j, int)):
-            raise GraphValidationError(f"edge {edge!r}: node indices must be integers")
-        if not (1 <= k <= n and 1 <= j <= n):
-            raise GraphValidationError(f"edge {edge!r}: node index out of range 1..{n}")
-        if k == j:
-            raise GraphValidationError(f"edge {edge!r}: self-loops are not allowed")
-        w = float(w)
-        if not w > 0 or not np.isfinite(w):
-            raise GraphValidationError(f"edge ({k}, {j}): weight must be finite and > 0, got {w}")
-        if (k, j) in seen:
-            raise GraphValidationError(f"duplicate edge ({k}, {j})")
-        seen.add((k, j))
-        canon.append((k, j, w))
-        total += w
-    canon.sort()
-    # no weighted degree exceeds the total weight, so a finite total clears them all
+    _check_node_count(n)
+    edges = list(edges)
+    triples = edges
+    if not (all(issubclass(t, (tuple, list)) for t in set(map(type, edges)))
+            and set(map(len, edges)) <= {3}):
+        triples = _unpacked(edges)
+    ks, js, ws = zip(*triples) if triples else ((), (), ())
+    return _graph_from_columns(n, ks, js, ws, len(edges),
+                               lambda i: (edges[i], triples[i] if i < len(triples) else None))
+
+
+def _graph_from_columns(n: int, ks: Sequence, js: Sequence, ws: Sequence, m: int,
+                        edge_at: Callable[[int], tuple]) -> WeightedDigraph:
+    """build_graph's checks, run on the edges as columns.
+
+    The columns hold the leading edges of m that unpack into three. For the
+    error message, edge_at(i) gives edge i as passed and unpacked (None when
+    it does not unpack).
+    """
+    # Each check runs on the edges before the first failure found so far,
+    # so `end` ends at the first edge that fails any check.
+    end = len(ks)
+    not_int = {t for t in set(map(type, ks)) | set(map(type, js)) if not issubclass(t, int)}
+    if not_int:
+        end = next(i for i, (k, j) in enumerate(zip(ks, js)) if type(k) in not_int or type(j) in not_int)
+    src, dst = np.array(ks[:end]), np.array(js[:end])  # object dtype beyond the int64 range
+    end = _first((src < 1) | (src > n) | (dst < 1) | (dst > n) | (src == dst), end)
+    try:
+        src, dst = src[:end].astype(np.int64), dst[:end].astype(np.int64)
+    except OverflowError as exc:
+        raise GraphValidationError(f"node count {n} exceeds the 64-bit index range") from exc
+    wts = _weights(ws[:end])
+    end = _first(~(wts > 0) | ~np.isfinite(wts), len(wts))
+    src, dst, wts = src[:end], dst[:end], wts[:end]
+    order = np.lexsort((dst, src))  # stable: a repeated pair keeps its input order
+    src, dst = src[order], dst[order]
+    repeat = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    if repeat.any():
+        end = int(order[1:][repeat].min())
+    if end < m:
+        edge, triple = edge_at(end)
+        _check_edge(edge, triple, n)
+        raise GraphValidationError(f"duplicate edge ({triple[0]}, {triple[1]})")
+    g = WeightedDigraph(n, src, dst, wts[order])
+    # no weighted degree exceeds the total weight, so a finite total clears them all;
+    # cumsum adds in input order, as the degree sums below do in canonical order
+    with np.errstate(over="ignore"):
+        total = np.cumsum(wts)[-1] if wts.size else 0.0
     if total == math.inf:
-        src, dst, wts = (np.array(col) for col in zip(*canon))
-        for label, nodes in (("out", src), ("in", dst)):
-            degree = np.bincount(nodes, weights=wts, minlength=n + 1)
+        for label, nodes in (("out", g.src), ("in", g.dst)):
+            degree = np.bincount(nodes, weights=g.w, minlength=n + 1)
             bad = np.flatnonzero(~np.isfinite(degree))
             if bad.size:
                 raise GraphValidationError(
                     f"node {bad[0]}: weighted {label}-degree is not finite ({degree[bad[0]]})")
-    return WeightedDigraph(n=n, edges=tuple(canon))
+    return g
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
@@ -134,9 +246,7 @@ def is_strongly_connected(g: WeightedDigraph) -> bool:
     """Strong connectivity of the directed edge pattern (weights ignored)."""
     if g.n == 1:
         return True
-    rows = [k - 1 for k, _, _ in g.edges]
-    cols = [j - 1 for _, j, _ in g.edges]
-    sparse = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
+    sparse = csr_matrix((np.ones(g.src.size), (g.src - 1, g.dst - 1)), shape=(g.n, g.n))
     ncomp, _ = connected_components(sparse, directed=True, connection="strong")
     return int(ncomp) == 1
 
@@ -168,15 +278,22 @@ def mirror_graph(g: WeightedDigraph) -> WeightedDigraph:
     node, which normal Laplacians guarantee) its Laplacian equals the
     symmetric part (L + L^T) / 2 of the input's.
     """
-    half: dict[tuple[int, int], float] = {}
-    for k, j, w in g.edges:
-        key = (min(k, j), max(k, j))
-        half[key] = half.get(key, 0.0) + w / 2.0
-    edges: list[tuple[int, int, float]] = []
-    for (a, b), w in half.items():
-        edges.append((a, b, w))
-        edges.append((b, a, w))
-    return build_graph(g.n, edges)
+    if not g.src.size:
+        return g
+    lo, hi = np.minimum(g.src, g.dst), np.maximum(g.src, g.dst)
+    order = np.lexsort((hi, lo))  # stable: arc (lo, hi) precedes (hi, lo), as in g
+    lo, hi, half = lo[order], hi[order], g.w[order] / 2.0
+    start = np.flatnonzero(np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])])
+    # w_kj/2 + w_jk/2 rather than (w_kj + w_jk)/2: it cannot overflow
+    w = np.add.reduceat(half, start)
+    lo, hi = lo[start], hi[start]
+    if not w.all():
+        # only arcs of the least subnormal weight halve to zero; report the pair met first in g
+        first = np.flatnonzero(w == 0.0)[np.argmin(order[start][w == 0.0])]
+        raise GraphValidationError(f"edge ({lo[first]}, {hi[first]}): weight must be finite and > 0, got 0.0")
+    src, dst, w = np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([w, w])
+    order = np.lexsort((dst, src))
+    return WeightedDigraph(g.n, src[order], dst[order], w[order])
 
 
 def permute_graph(g: WeightedDigraph, perm: tuple[int, ...]) -> WeightedDigraph:
@@ -204,6 +321,17 @@ def five_node_benchmark() -> WeightedDigraph:
 # With "undirected": true each listed edge implies its reverse at equal weight.
 
 
+def _check_item(idx: int, item: object) -> None:
+    """Raise graph_from_dict's error for the edge item at position idx, its checks in order."""
+    if not (isinstance(item, list) and len(item) == 3):
+        raise GraphFormatError(f"edge #{idx + 1} {item!r}: expected [source, target, weight]")
+    k, j, w = item
+    if not (isinstance(k, int) and isinstance(j, int)) or isinstance(k, bool) or isinstance(j, bool):
+        raise GraphFormatError(f"edge #{idx + 1} {item!r}: node indices must be integers")
+    if isinstance(w, bool) or not isinstance(w, (int, float)):
+        raise GraphFormatError(f"edge #{idx + 1} {item!r}: weight {w!r} is not a number")
+
+
 def graph_from_dict(data: dict) -> WeightedDigraph:
     """Build a graph from the JSON-schema dict, with field-level diagnostics."""
     if not isinstance(data, dict):
@@ -222,27 +350,35 @@ def graph_from_dict(data: dict) -> WeightedDigraph:
     undirected = data.get("undirected", False)
     if not isinstance(undirected, bool):
         raise GraphFormatError(f'"undirected" must be a boolean, got {undirected!r}')
-    edges: list[tuple[int, int, float]] = []
-    for idx, item in enumerate(raw_edges):
-        if not (isinstance(item, list) and len(item) == 3):
-            raise GraphFormatError(f"edge #{idx + 1} {item!r}: expected [source, target, weight]")
-        k, j, w = item
-        if not (isinstance(k, int) and isinstance(j, int)) or isinstance(k, bool) or isinstance(j, bool):
-            raise GraphFormatError(f"edge #{idx + 1} {item!r}: node indices must be integers")
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise GraphFormatError(f"edge #{idx + 1} {item!r}: weight {w!r} is not a number")
-        edges.append((k, j, float(w)))
-        if undirected:
-            edges.append((j, k, float(w)))
+    end = len(raw_edges)
+    if not (all(issubclass(t, list) for t in set(map(type, raw_edges)))
+            and set(map(len, raw_edges)) <= {3}):
+        end = next(i for i, item in enumerate(raw_edges) if not (isinstance(item, list) and len(item) == 3))
+    ks, js, ws = zip(*raw_edges[:end]) if end else ((), (), ())
+    not_index = {t for t in set(map(type, ks)) | set(map(type, js))
+                 if not issubclass(t, int) or issubclass(t, bool)}
+    not_weight = {t for t in set(map(type, ws)) if issubclass(t, bool) or not issubclass(t, (int, float))}
+    if not_index or not_weight:
+        end = next(i for i, (k, j, w) in enumerate(zip(ks, js, ws))
+                   if type(k) in not_index or type(j) in not_index or type(w) in not_weight)
+    weights = list(map(float, ws[:end]))  # an int beyond the float range raises here, in item order
+    if end < len(raw_edges):
+        _check_item(end, raw_edges[end])
+    if undirected:  # item (k, j, w) stands for the arc (k, j, w) followed by (j, k, w)
+        ks, js, weights = (list(chain.from_iterable(zip(a, b)))
+                           for a, b in ((ks, js), (js, ks), (weights, weights)))
     try:
-        return build_graph(n, edges)
+        _check_node_count(n)
+        return _graph_from_columns(n, ks, js, weights, len(ks),
+                                   lambda i: ((ks[i], js[i], weights[i]),) * 2)
     except GraphValidationError as exc:
         raise GraphFormatError(str(exc)) from exc
 
 
 def graph_to_dict(g: WeightedDigraph) -> dict:
     """Canonical JSON-schema dict for a graph (always explicit, "undirected": false)."""
-    return {"n": g.n, "edges": [[k, j, w] for k, j, w in g.edges], "undirected": False}
+    edges = list(map(list, zip(g.src.tolist(), g.dst.tolist(), g.w.tolist())))
+    return {"n": g.n, "edges": edges, "undirected": False}
 
 
 def load_graph(path: str) -> WeightedDigraph:

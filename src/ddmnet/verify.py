@@ -23,6 +23,7 @@ from .centrality import (
 )
 from .certainty import (
     ModelParams,
+    _covariance_from_spectrum,
     analytic_covariance,
     certainty_group_inverse,
     certainty_spectral,
@@ -176,13 +177,13 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
     if spectral_report is not None and g.n > 1:
         rate = float(data.eigenvalues[1:].real.min())
         t_late = 12.0 / rate  # e^{-2 rate t} < 4e-11: transient is below tolerance
-        var_late = np.diag(analytic_covariance(lap, params, t_late, "normal"))
+        var_late = np.diag(_covariance_from_spectrum(data, params, t_late, tol))
         target = params.sigma**2 * t_late / g.n + np.asarray(spectral_report.inv_mu)
         gap_late = float(np.abs(var_late - target).max())
         record("covariance-large-time-plateau", PASS if gap_late <= 1e-9 * max(1.0, t_late) else FAIL,
                f"max gap = {gap_late:.2e} at t = {t_late:.2f}")
 
-        cov_normal = analytic_covariance(lap, params, 2.0, "normal")
+        cov_normal = _covariance_from_spectrum(data, params, 2.0, tol)
         gap_modes = float(np.abs(cov_normal - cov_general[2.0]).max())
         record("covariance-normal-vs-integrated", PASS if gap_modes <= tol.covariance_cross_atol else FAIL,
                f"max gap = {gap_modes:.2e}")

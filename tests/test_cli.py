@@ -179,6 +179,13 @@ class TestFamily:
         assert code == 2
         assert out.err.startswith("error: --times must be finite")
 
+    def test_time_overflowing_the_propagator_is_usage_error(self, capsys):
+        # finite, but ||L||_inf * t overflows in the Van Loan step count
+        code, out = run_cli("family", "complete:4:1", "--times", "1e308", capsys=capsys)
+        assert code == 2
+        assert out.err.startswith("error: --times 1e+308:")
+        assert "Traceback" not in out.err and out.out == ""
+
     def test_bad_spec_exits_with_usage_error(self, capsys):
         code, _ = run_cli("family", "heptagon:9:1", capsys=capsys)
         assert code == 2

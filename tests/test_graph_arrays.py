@@ -1,0 +1,234 @@
+"""The array-backed graph routines against the per-edge loops they replaced.
+
+The reference functions below are the earlier implementations, kept verbatim
+in logic: a per-edge validation loop, a dict-based mirror and a dict-based
+symmetry test. Over random edge lists with injected faults, the library must
+raise the same exception class with the same message, and on valid lists
+give the same arcs, bit-equal mirror weights and the same symmetry verdict.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ddmnet import GraphFormatError, GraphValidationError, build_graph, graph_from_dict, mirror_graph
+
+# --- reference implementations ------------------------------------------------
+
+
+def ref_build_graph(n, edges):
+    if not isinstance(n, int) or n < 1:
+        raise GraphValidationError(f"node count must be a positive integer, got {n!r}")
+    seen = set()
+    canon = []
+    total = 0.0
+    for edge in edges:
+        try:
+            k, j, w = edge
+        except (TypeError, ValueError) as exc:
+            raise GraphValidationError(f"edge {edge!r} is not a (source, target, weight) triple") from exc
+        if not (isinstance(k, int) and isinstance(j, int)):
+            raise GraphValidationError(f"edge {edge!r}: node indices must be integers")
+        if not (1 <= k <= n and 1 <= j <= n):
+            raise GraphValidationError(f"edge {edge!r}: node index out of range 1..{n}")
+        if k == j:
+            raise GraphValidationError(f"edge {edge!r}: self-loops are not allowed")
+        w = float(w)
+        if not w > 0 or not np.isfinite(w):
+            raise GraphValidationError(f"edge ({k}, {j}): weight must be finite and > 0, got {w}")
+        if (k, j) in seen:
+            raise GraphValidationError(f"duplicate edge ({k}, {j})")
+        seen.add((k, j))
+        canon.append((k, j, w))
+        total += w
+    canon.sort()
+    if total == math.inf:
+        src, dst, wts = (np.array(col) for col in zip(*canon))
+        for label, nodes in (("out", src), ("in", dst)):
+            degree = np.bincount(nodes, weights=wts, minlength=n + 1)
+            bad = np.flatnonzero(~np.isfinite(degree))
+            if bad.size:
+                raise GraphValidationError(
+                    f"node {bad[0]}: weighted {label}-degree is not finite ({degree[bad[0]]})")
+    return tuple(canon)
+
+
+def ref_graph_from_dict(data):
+    n = data["n"]
+    edges = []
+    for idx, item in enumerate(data["edges"]):
+        if not (isinstance(item, list) and len(item) == 3):
+            raise GraphFormatError(f"edge #{idx + 1} {item!r}: expected [source, target, weight]")
+        k, j, w = item
+        if not (isinstance(k, int) and isinstance(j, int)) or isinstance(k, bool) or isinstance(j, bool):
+            raise GraphFormatError(f"edge #{idx + 1} {item!r}: node indices must be integers")
+        if isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise GraphFormatError(f"edge #{idx + 1} {item!r}: weight {w!r} is not a number")
+        edges.append((k, j, float(w)))
+        if data["undirected"]:
+            edges.append((j, k, float(w)))
+    try:
+        return ref_build_graph(n, edges)
+    except GraphValidationError as exc:
+        raise GraphFormatError(str(exc)) from exc
+
+
+def ref_mirror(n, edges):
+    half = {}
+    for k, j, w in edges:
+        key = (min(k, j), max(k, j))
+        half[key] = half.get(key, 0.0) + w / 2.0
+    mirrored = []
+    for (a, b), w in half.items():
+        mirrored.append((a, b, w))
+        mirrored.append((b, a, w))
+    return ref_build_graph(n, mirrored)
+
+
+def ref_is_undirected(edges, rtol=1e-12):
+    weights = {(k, j): w for k, j, w in edges}
+    for (k, j), w in weights.items():
+        wr = weights.get((j, k))
+        if wr is None or abs(wr - w) > rtol * max(1.0, abs(w)):
+            return False
+    return True
+
+
+def outcome(fn, *args):
+    """("ok", arcs with weights as hex) or (exception class, message)."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # the class is part of what is compared
+        return type(exc), str(exc)
+    arcs = result if isinstance(result, tuple) else result.edges
+    return "ok", tuple((k, j, float(w).hex()) for k, j, w in arcs)
+
+
+# --- strategies -------------------------------------------------------------------
+
+WEIGHTS = st.one_of(st.floats(min_value=1e-3, max_value=1e3), st.just(5e-324),
+                    st.floats(min_value=5e-324, max_value=1e-300), st.just(1e308))
+
+
+def _bad_arity(draw, n, edges):
+    return draw(st.sampled_from([[1, 2], [1, 2, 1.0, 4.0], (), 7, None, "ab", (1,)]))
+
+
+def _bad_index_type(draw, n, edges):
+    bad = draw(st.sampled_from([1.0, "1", None, True, np.int64(1), 2.5]))
+    return draw(st.sampled_from([[bad, n, 1.0], [1, bad, 1.0]]))
+
+
+def _out_of_range(draw, n, edges):
+    bad = draw(st.sampled_from([0, -1, n + 1, 2**70, -(2**70)]))
+    return draw(st.sampled_from([[bad, 1, 1.0], [1, bad, 1.0]]))
+
+
+def _self_loop(draw, n, edges):
+    k = draw(st.integers(1, n))
+    return [k, k, 1.0]
+
+
+def _bad_weight(draw, n, edges):
+    k = draw(st.integers(1, n))
+    j = draw(st.integers(1, n))
+    bad = draw(st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 0, -2,
+                                "x", "2.5", None, 10**400, True]))
+    return [k, j, bad]
+
+
+def _duplicate(draw, n, edges):
+    pairs = [e for e in edges if isinstance(e, list) and len(e) == 3]
+    if not pairs:
+        return [1, min(2, n), 1.0]
+    k, j, _ = draw(st.sampled_from(pairs))
+    return [k, j, draw(WEIGHTS)]
+
+
+def _heavy(draw, n, edges):
+    return [draw(st.integers(1, n)), draw(st.integers(1, n)), 1e308]
+
+
+FAULTS = (_bad_arity, _bad_index_type, _out_of_range, _self_loop, _bad_weight, _duplicate, _heavy)
+
+
+@st.composite
+def edge_lists(draw, faults=True):
+    """(n, edges) with unique off-diagonal pairs, then up to three injected faults."""
+    n = draw(st.integers(1, 6))
+    pairs = [(k, j) for k in range(1, n + 1) for j in range(1, n + 1) if k != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    edges = [[k, j, draw(WEIGHTS)] for k, j in chosen]
+    for _ in range(draw(st.integers(0, 3)) if faults else 0):
+        fault = draw(st.sampled_from(FAULTS))
+        edges.insert(draw(st.integers(0, len(edges))), fault(draw, n, edges))
+    return n, edges
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Valid edge lists that are undirected, or nearly so within and beyond rtol."""
+    n = draw(st.integers(2, 6))
+    pairs = [(k, j) for k in range(1, n + 1) for j in range(k + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
+    edges = []
+    for k, j in chosen:
+        w = draw(st.floats(min_value=1e-3, max_value=1e3))
+        edges.append((k, j, w))
+        if draw(st.integers(0, 5)):
+            rel = draw(st.sampled_from([0.0, 0.0, 5e-13, -5e-13, 2e-12, 1e-9]))
+            edges.append((j, k, w * (1.0 + rel)))
+    return n, edges
+
+
+# --- properties ---------------------------------------------------------------------
+
+
+class TestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(edge_lists(), st.booleans())
+    def test_build_graph(self, case, as_tuples):
+        n, edges = case
+        if as_tuples:
+            edges = [tuple(e) if isinstance(e, list) else e for e in edges]
+        assert outcome(build_graph, n, edges) == outcome(ref_build_graph, n, edges)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_lists(), st.booleans())
+    def test_graph_from_dict(self, case, undirected):
+        n, edges = case
+        data = {"n": n, "edges": edges, "undirected": undirected}
+        assert outcome(graph_from_dict, data) == outcome(ref_graph_from_dict, data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists(faults=False))
+    def test_mirror_weights_bit_equal(self, case):
+        n, edges = case
+        assume(outcome(build_graph, n, edges)[0] == "ok")  # 1e308 weights can overflow a degree
+        g = build_graph(n, edges)
+        assert outcome(mirror_graph, g) == outcome(ref_mirror, n, g.edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_graphs(), st.sampled_from([1e-12, 1e-9, 0.0]))
+    def test_is_undirected(self, case, rtol):
+        n, edges = case
+        g = build_graph(n, edges)
+        assert g.is_undirected(rtol) == ref_is_undirected(g.edges, rtol)
+
+
+class TestStorage:
+    def test_arrays_are_read_only_and_canonical(self):
+        g = build_graph(3, [(3, 1, 1.0), (1, 3, 2.0), (1, 2, 0.5)])
+        assert g.src.tolist() == [1, 1, 3] and g.dst.tolist() == [2, 3, 1]
+        assert g.w.tolist() == [0.5, 2.0, 1.0]
+        for arr in (g.src, g.dst, g.w):
+            assert not arr.flags.writeable
+
+    def test_equality_and_hash_follow_the_arcs(self):
+        a = build_graph(3, [(1, 2, 1.0), (2, 3, 2.0)])
+        b = build_graph(3, [(2, 3, 2.0), (1, 2, 1.0)])
+        assert a == b and hash(a) == hash(b)
+        assert a != build_graph(4, [(1, 2, 1.0), (2, 3, 2.0)])
+        assert a != build_graph(3, [(1, 2, 1.0), (2, 3, 2.5)])
