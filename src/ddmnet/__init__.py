@@ -40,6 +40,7 @@ from .errors import (
     NotStronglyConnectedError,
     OverlapMatrixSingularError,
     PathCapExceededError,
+    StepCapError,
     UnstableStepError,
 )
 from .families import (

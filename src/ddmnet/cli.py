@@ -38,7 +38,7 @@ from .certainty import (
     spectral_decompose,
     variance_envelope,
 )
-from .errors import DdmnetError, PathCapExceededError
+from .errors import DdmnetError, PathCapExceededError, StepCapError
 from .families import closed_form_covariance, closed_form_mu, make_family, parse_family_spec
 from .graph import GraphProfile, WeightedDigraph, classify, laplacian, load_graph, mirror_graph
 from .simulate import SimConfig, empirical_moments, simulate_ensemble, validate_moments
@@ -314,8 +314,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     params = ModelParams(beta=args.beta, sigma=args.sigma)
     sample_times = tuple(float(tok) for tok in args.sample_times.split(",") if tok.strip())
-    cfg = SimConfig(params=params, t_max=args.t_max, step=args.step,
-                    trajectories=args.trajectories, seed=args.seed, sample_times=sample_times)
+    try:
+        cfg = SimConfig(params=params, t_max=args.t_max, step=args.step,
+                        trajectories=args.trajectories, seed=args.seed, sample_times=sample_times)
+    except StepCapError as exc:
+        raise ValueError(f"--sample-times and --step: {exc}") from exc
     # workers deliberately left out of the config echo: results are identical
     config = {"graph_file": args.graph, "sigma": args.sigma, "beta": args.beta,
               "t_max": args.t_max, "step": args.step, "trajectories": args.trajectories,

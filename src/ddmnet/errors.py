@@ -33,5 +33,9 @@ class UnstableStepError(DdmnetError):
     """Raised when an integration step is too large for the stability guard."""
 
 
+class StepCapError(DdmnetError, ValueError):
+    """Raised when a simulation asks for more steps per trajectory than the cap."""
+
+
 class GraphFormatError(DdmnetError):
     """Raised when a graph file does not parse against the JSON schema."""

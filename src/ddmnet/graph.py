@@ -330,6 +330,11 @@ def _check_item(idx: int, item: object) -> None:
         raise GraphFormatError(f"edge #{idx + 1} {item!r}: node indices must be integers")
     if isinstance(w, bool) or not isinstance(w, (int, float)):
         raise GraphFormatError(f"edge #{idx + 1} {item!r}: weight {w!r} is not a number")
+    try:
+        float(w)
+    except OverflowError:
+        raise GraphFormatError(f"edge #{idx + 1} [{k}, {j}, ...]: weight is an integer "
+                               "beyond the float range") from None
 
 
 def graph_from_dict(data: dict) -> WeightedDigraph:
@@ -361,7 +366,11 @@ def graph_from_dict(data: dict) -> WeightedDigraph:
     if not_index or not_weight:
         end = next(i for i, (k, j, w) in enumerate(zip(ks, js, ws))
                    if type(k) in not_index or type(j) in not_index or type(w) in not_weight)
-    weights = list(map(float, ws[:end]))  # an int beyond the float range raises here, in item order
+    try:
+        weights = list(map(float, ws[:end]))
+    except OverflowError:  # an int beyond the float range: _check_item reports the first
+        weights = _weights(ws[:end]).tolist()
+        end = len(weights)
     if end < len(raw_edges):
         _check_item(end, raw_edges[end])
     if undirected:  # item (k, j, w) stands for the arc (k, j, w) followed by (j, k, w)

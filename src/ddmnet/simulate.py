@@ -4,9 +4,11 @@ Euler-Maruyama with additive noise:
 
     x <- x + (beta * 1 - L x) h + sigma sqrt(h) xi,   x(0) = 0,
 
-one independent counter-based random stream per trajectory (key = base
-seed XOR trajectory index), so serial and parallel runs, and runs split
-across any number of workers, produce bit-identical moment sums. Moments
+one independent SFC64 stream per trajectory, seeded by
+SeedSequence((seed, trajectory index)), so serial and parallel runs, and
+runs split across any number of workers, produce bit-identical moment sums.
+Hashing the pair, rather than combining seed and index into one integer,
+keeps the streams of different seeds apart. Moments
 are accumulated streaming (one pass, O(n^2) memory independent of the
 trajectory count) in a fixed chunk order.
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certainty import ModelParams
-from .errors import UnstableStepError
+from .errors import StepCapError, UnstableStepError
 from .graph import WeightedDigraph, laplacian
 
 # the chunk size is part of the deterministic-merge contract: chunk sums are
@@ -35,6 +37,10 @@ CHUNK_TRAJECTORIES = 1024
 # order whatever the panel length, so it sets memory (batch x panel x n
 # doubles per chunk), not results
 PANEL_STEPS = 250
+# Euler steps per trajectory above which a configuration is refused: nothing
+# is reported until every step is done, and at 1e8 steps one chunk of
+# CHUNK_TRAJECTORIES trajectories already runs for hours
+MAX_STEPS = 10**8
 
 _GRID_RTOL = 1e-9
 
@@ -65,6 +71,11 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.sample_times and self.t_max < max(self.sample_times) - _GRID_RTOL:
             raise ValueError("t_max must cover every sample time")
+        last = max(self.sample_times, default=0.0)
+        if last / self.step > MAX_STEPS:
+            raise StepCapError(f"sample time {last} at step {self.step} needs "
+                               f"{last / self.step:.3g} steps per trajectory, "
+                               f"above the cap of {MAX_STEPS}")
         indices = [self.step_index(t) for t in self.sample_times]
         if len(set(indices)) != len(indices):
             raise ValueError(f"duplicate sample times: {self.sample_times}")
@@ -129,7 +140,8 @@ def _simulate_chunk(lap: np.ndarray, cfg: SimConfig, lo: int, hi: int,
     step_matrix_t = (np.eye(n) - h * lap).T
     sample_lookup = {s: i for i, s in enumerate(sample_steps)}
 
-    gens = [np.random.Generator(np.random.Philox(key=cfg.seed ^ i)) for i in range(lo, hi)]
+    gens = [np.random.Generator(np.random.SFC64(np.random.SeedSequence((cfg.seed, i))))
+            for i in range(lo, hi)]
     sums = np.zeros((len(sample_steps), n))
     outers = np.zeros((len(sample_steps), n, n))
     x = np.zeros((batch, n))
@@ -143,12 +155,12 @@ def _simulate_chunk(lap: np.ndarray, cfg: SimConfig, lo: int, hi: int,
     while done < total:
         span = min(PANEL_STEPS, total - done)
         for b, gen in enumerate(gens):
-            noise[b, :span] = gen.standard_normal((span, n))
+            gen.standard_normal(out=noise[b, :span])
         panel = noise[:, :span]
         panel *= noise_scale
+        panel += drift
         for s in range(span):
             np.matmul(x, step_matrix_t, out=y)
-            y += drift
             y += panel[:, s]
             x, y = y, x
             idx = sample_lookup.get(done + s + 1)

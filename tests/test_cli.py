@@ -211,6 +211,14 @@ class TestSimulate:
                           "--sample-times", "0.305", capsys=capsys)
         assert code == 2
 
+    def test_too_many_steps_is_usage_error(self, capsys):
+        # 1e12 steps per trajectory: refused before anything runs
+        code, out = run_cli("simulate", BENCHMARK, "--t-max", "1e9", "--sample-times", "1e9",
+                            capsys=capsys)
+        assert code == 2
+        assert out.err.startswith("error: --sample-times and --step:")
+        assert "cap" in out.err and out.out == ""
+
     def test_unstable_step_is_usage_error(self, capsys):
         code, _ = run_cli("simulate", BENCHMARK, "--step", "0.05",
                           "--sample-times", "0.5", "--t-max", "0.5", capsys=capsys)
@@ -301,6 +309,14 @@ class TestGraphIO:
         code, out = run_cli("analyze", path, capsys=capsys)
         assert code == 2
         assert "edge #1" in out.err
+
+    def test_integer_weight_beyond_float_range_is_usage_error(self, tmp_path, capsys):
+        path = write_graph(tmp_path, {"n": 3, "edges": [[1, 2, 1], [2, 3, 10**400]],
+                                      "undirected": True})
+        code, out = run_cli("analyze", path, capsys=capsys)
+        assert code == 2
+        assert out.err == "error: edge #2 [2, 3, ...]: weight is an integer beyond the float range\n"
+        assert out.out == ""
 
 class TestReproducibility:
     def test_analyze_rerun_is_byte_identical(self, tmp_path, capsys):

@@ -66,9 +66,14 @@ def ref_graph_from_dict(data):
             raise GraphFormatError(f"edge #{idx + 1} {item!r}: node indices must be integers")
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             raise GraphFormatError(f"edge #{idx + 1} {item!r}: weight {w!r} is not a number")
-        edges.append((k, j, float(w)))
+        try:
+            w = float(w)
+        except OverflowError:
+            raise GraphFormatError(f"edge #{idx + 1} [{k}, {j}, ...]: weight is an integer "
+                                   "beyond the float range") from None
+        edges.append((k, j, w))
         if data["undirected"]:
-            edges.append((j, k, float(w)))
+            edges.append((j, k, w))
     try:
         return ref_build_graph(n, edges)
     except GraphValidationError as exc:

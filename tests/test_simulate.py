@@ -8,6 +8,7 @@ import ddmnet.simulate as simulate_module
 from ddmnet import (
     ModelParams,
     SimConfig,
+    StepCapError,
     UnstableStepError,
     analytic_covariance,
     build_graph,
@@ -48,6 +49,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(PARAMS, t_max=1.0, step=0.01, trajectories=1, seed=0, sample_times=(1.0,))
 
+    def test_steps_beyond_the_cap_rejected(self):
+        # builds configurations only: 1e12 steps per trajectory would never finish
+        with pytest.raises(StepCapError, match="cap"):
+            SimConfig(PARAMS, t_max=1e9, step=1e-3, trajectories=10, seed=0, sample_times=(1e9,))
+        with pytest.raises(StepCapError, match="cap"):  # the step count overflows a float
+            SimConfig(PARAMS, t_max=1e300, step=1e-10, trajectories=10, seed=0,
+                      sample_times=(1e300,))
+        cap = simulate_module.MAX_STEPS
+        at_cap = SimConfig(PARAMS, t_max=cap, step=1.0, trajectories=10, seed=0,
+                           sample_times=(float(cap),))
+        assert at_cap.total_steps == cap
+
     def test_step_guard(self, benchmark_graph):
         cfg = SimConfig(PARAMS, t_max=1.0, step=0.05, trajectories=4, seed=0, sample_times=(1.0,))
         # ||L||_inf = 6 for the benchmark, so the guard is 0.1/6 ~ 0.0167
@@ -85,6 +98,17 @@ class TestDeterminism:
         for other in runs[1:]:
             assert np.array_equal(runs[0].sums, other.sums)
             assert np.array_equal(runs[0].outers, other.outers)
+
+    def test_seeds_below_the_trajectory_count_draw_distinct_streams(self, benchmark_graph):
+        # a stream key that mixes seed and trajectory index into one integer
+        # (seed XOR i) gives seeds 0, 1 and 6 the same 1024 streams in another
+        # order, so their sums agree to roundoff
+        sums = [simulate_ensemble(benchmark_graph,
+                                  SimConfig(PARAMS, t_max=0.5, step=0.01, trajectories=1024,
+                                            seed=seed, sample_times=(0.5,)), workers=1).sums
+                for seed in (0, 1, 6)]
+        for other in sums[1:]:
+            assert np.abs(other - sums[0]).max() > 1e-6 * np.abs(sums[0]).max()
 
     def test_different_seeds_differ(self, benchmark_graph):
         cfg_a = SimConfig(PARAMS, t_max=0.1, step=0.01, trajectories=50, seed=1, sample_times=(0.1,))
@@ -169,12 +193,20 @@ class TestValidation:
         assert np.all(validation.z_mean == 0.0)
 
     def test_analytic_target_passes(self, benchmark_graph):
-        cfg = SimConfig(PARAMS, t_max=1.0, step=0.005, trajectories=20000, seed=19,
-                        sample_times=(1.0,))
-        rep = empirical_moments(simulate_ensemble(benchmark_graph, cfg), 1.0)
+        # one run at the default gates fails by chance with p ~ 0.015, so 20
+        # seeds run and at most 2 may fail: by chance that happens ~0.3 % of
+        # the time, and an offset of 2 standard errors trips it more often
+        # than it trips one run
         target = analytic_covariance(laplacian(benchmark_graph), PARAMS, 1.0, "general")
-        validation = validate_moments(rep, target, target_mean=np.full(5, 1.0))
-        assert validation.passed, validation.failures
+        failed = {}
+        for seed in range(20):
+            cfg = SimConfig(PARAMS, t_max=1.0, step=0.005, trajectories=20000, seed=seed,
+                            sample_times=(1.0,))
+            rep = empirical_moments(simulate_ensemble(benchmark_graph, cfg), 1.0)
+            validation = validate_moments(rep, target, target_mean=np.full(5, 1.0))
+            if not validation.passed:
+                failed[seed] = validation.failures
+        assert len(failed) <= 2, failed
 
     def test_wrong_target_fails_at_separated_time(self, benchmark_graph):
         # sigma^2 t is the isolated-unit variance: at t = 5 every connected
