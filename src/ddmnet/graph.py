@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Sequence
@@ -119,7 +120,10 @@ def _check_edge(edge: object, triple: tuple | None, n: int) -> None:
         raise GraphValidationError(f"edge {edge!r}: node index out of range 1..{n}")
     if k == j:
         raise GraphValidationError(f"edge {edge!r}: self-loops are not allowed")
-    w = float(w)
+    try:
+        w = float(w)
+    except OverflowError:  # no repr: an int past the conversion limit has no decimal string
+        raise GraphValidationError(f"edge ({k}, {j}): weight is an integer beyond the float range") from None
     if not w > 0 or not np.isfinite(w):
         raise GraphValidationError(f"edge ({k}, {j}): weight must be finite and > 0, got {w}")
 
@@ -399,4 +403,9 @@ def load_graph(path: str) -> WeightedDigraph:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # json.load's int() of a literal longer than the conversion limit
+        raise GraphFormatError(f"{path}: a number literal exceeds Python's integer conversion limit "
+                               f"({sys.get_int_max_str_digits()} digits)") from exc
     return graph_from_dict(data)

@@ -1,9 +1,11 @@
+import ctypes
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from ddmnet import graph_from_dict, graph_to_dict, load_graph
+from ddmnet import cli, graph_from_dict, graph_to_dict, load_graph
 from ddmnet.cli import main
 from ddmnet.config import DEFAULT_TOL
 
@@ -317,6 +319,72 @@ class TestGraphIO:
         assert code == 2
         assert out.err == "error: edge #2 [2, 3, ...]: weight is an integer beyond the float range\n"
         assert out.out == ""
+
+    def test_integer_literal_beyond_conversion_limit_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 2, "edges": [[1, 2, 1' + "0" * 5000 + ']], "undirected": true}')
+        code, out = run_cli("analyze", str(path), capsys=capsys)
+        assert code == 2
+        assert out.err == (f"error: {path}: a number literal exceeds Python's integer conversion "
+                           f"limit ({sys.get_int_max_str_digits()} digits)\n")
+        assert out.out == ""
+
+    def test_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_bytes(b'{"n": 2, "edges": [], \xff}')
+        code, out = run_cli("analyze", str(path), capsys=capsys)
+        assert code == 2
+        assert out.err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
+def openblas_threads() -> dict[str, int]:
+    """Thread count of each OpenBLAS copy mapped into this process, by path."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return {}
+    threads = {}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                threads[path] = fn()
+                break
+    return threads
+
+
+@pytest.fixture
+def fresh_blas_setting():
+    """main() sets scipy's BLAS threads once per process; let a test see it run again."""
+    cli._single_thread_scipy_blas.cache_clear()
+    yield
+    cli._single_thread_scipy_blas.cache_clear()
+
+
+class TestBlasThreads:
+    def test_scipy_copy_runs_one_thread_and_numpy_keeps_its_pool(self, fresh_blas_setting, capsys):
+        before = openblas_threads()
+        if len(before) < 2:
+            pytest.skip("numpy and scipy share one BLAS here")
+        scipy_path = cli._scipy_openblas()._name
+        assert run_cli("family", "complete:4:1", capsys=capsys)[0] == 0
+        after = openblas_threads()
+        assert after.pop(scipy_path) == 1
+        assert after == {path: n for path, n in before.items() if path != scipy_path}
+
+    def test_does_nothing_when_no_scipy_copy_is_found(self, fresh_blas_setting, monkeypatch, capsys):
+        setter = getattr(cli._scipy_openblas(), "scipy_openblas_set_num_threads", None)
+        if setter is not None:  # undo an earlier main(), so that a setting made now would show
+            setter(2)
+        monkeypatch.setattr(cli, "_scipy_openblas", lambda: None)
+        before = openblas_threads()
+        assert run_cli("family", "complete:4:1", capsys=capsys)[0] == 0
+        assert openblas_threads() == before
+
 
 class TestReproducibility:
     def test_analyze_rerun_is_byte_identical(self, tmp_path, capsys):

@@ -53,6 +53,13 @@ class TestBuildGraph:
         with pytest.raises(GraphValidationError):
             build_graph(2, [(1, 2, 0.0)])
 
+    @pytest.mark.parametrize("exponent", [400, 5000])
+    def test_rejects_integer_weight_beyond_float_range(self, exponent):
+        # 10**5000 has more digits than an int may convert to a string, so the message cannot repr it
+        with pytest.raises(GraphValidationError) as err:
+            build_graph(2, [(1, 2, 1.0), (2, 1, 10**exponent)])
+        assert str(err.value) == "edge (2, 1): weight is an integer beyond the float range"
+
     def test_rejects_overflowing_degree_naming_the_node(self):
         with pytest.raises(GraphValidationError, match="node 1: weighted out-degree"):
             build_graph(3, [(1, 2, 1e308), (1, 3, 1e308)])

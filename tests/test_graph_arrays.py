@@ -35,7 +35,10 @@ def ref_build_graph(n, edges):
             raise GraphValidationError(f"edge {edge!r}: node index out of range 1..{n}")
         if k == j:
             raise GraphValidationError(f"edge {edge!r}: self-loops are not allowed")
-        w = float(w)
+        try:
+            w = float(w)
+        except OverflowError:
+            raise GraphValidationError(f"edge ({k}, {j}): weight is an integer beyond the float range") from None
         if not w > 0 or not np.isfinite(w):
             raise GraphValidationError(f"edge ({k}, {j}): weight must be finite and > 0, got {w}")
         if (k, j) in seen:
