@@ -15,6 +15,7 @@ route implemented here.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,32 +306,36 @@ def analytic_covariance(lap: np.ndarray, params: ModelParams, t: float, mode: st
     raise ValueError(f"unknown mode {mode!r}; expected 'normal' or 'general'")
 
 
-def covariance_curves(lap: np.ndarray, params: ModelParams, times: np.ndarray) -> np.ndarray:
-    """Per-node variance Var(x_k(t)) sampled on a time grid, shape (len(times), n).
+def _covariance_walk(phi: np.ndarray, p_step: np.ndarray) -> Iterator[np.ndarray]:
+    """P(tau), P(2 tau), ... from the step pair (Phi, P_step) of _covariance_step(lap, sigma2, tau).
 
-    Walks the sorted grid with P <- Phi_d P Phi_d^T + P_d, where (Phi_d, P_d)
-    is the exact propagator pair of gap d; each distinct gap is computed once.
-    Works for every digraph.
+    P((i + 1) tau) = Phi P(i tau) Phi^T + P_step is exact, so one step pair
+    serves a whole uniform grid.
+    """
+    p = p_step
+    while True:
+        yield p
+        p = phi @ p @ phi.T + p_step
+
+
+def covariance_curves(lap: np.ndarray, params: ModelParams, t_step: float, count: int) -> np.ndarray:
+    """Per-node variance Var(x_k(i t_step)) for i = 0 .. count - 1, shape (count, n).
+
+    Computes one exact step pair for the grid and walks it with
+    _covariance_walk, keeping only each point's diagonal, so memory stays
+    O(n^2) for any count. count == 1 is the t = 0 row and needs no
+    exponential. Works for every digraph.
     """
     lap = np.asarray(lap, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if not np.all((times >= 0.0) & (times < math.inf)):
-        raise ValueError("times must be finite and >= 0")
-    n = lap.shape[0]
-    out = np.empty((times.size, n))
-    steps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    p = np.zeros((n, n))
-    prev_t = 0.0
-    for i in np.argsort(times, kind="stable"):
-        t = float(times[i])
-        gap = t - prev_t
-        if gap > 0:
-            if gap not in steps:
-                steps[gap] = _covariance_step(lap, params.sigma**2, gap)
-            phi, p_gap = steps[gap]
-            p = phi @ p @ phi.T + p_gap
-            prev_t = t
-        out[i] = np.diag(p)
+    if not 0.0 < t_step < math.inf:
+        raise ValueError(f"t_step must be finite and > 0, got {t_step}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    out = np.zeros((count, lap.shape[0]))
+    if count > 1:
+        walk = _covariance_walk(*_covariance_step(lap, params.sigma**2, t_step))
+        for row, p in zip(out[1:], walk):
+            row[:] = np.diag(p)
     return out
 
 

@@ -154,7 +154,7 @@ def _check_grid(args: argparse.Namespace) -> None:
 def _attach_curves(report: dict, g: WeightedDigraph, params: ModelParams,
                    t_max: float, t_step: float) -> None:
     times = np.arange(0.0, t_max + 1e-12, t_step)
-    variances = covariance_curves(laplacian(g), params, times)
+    variances = covariance_curves(laplacian(g), params, t_step, times.size)
     header = ["t"] + [f"var_node_{k}" for k in range(1, g.n + 1)] + ["envelope_lower", "envelope_upper"]
     rows = []
     for i, t in enumerate(times):

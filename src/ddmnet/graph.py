@@ -94,6 +94,22 @@ def _first(mask: np.ndarray, default: int) -> int:
     return int(hits[0]) if hits.size else default
 
 
+def _show(value: object) -> str:
+    """repr(value), with an int too long for a decimal string shown as <int too long to print>.
+
+    Python refuses to convert an int of more than sys.get_int_max_str_digits()
+    digits to a string, so repr of an edge holding one raises ValueError.
+    Lists and tuples are shown item by item; every other value keeps its repr.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, (list, tuple)):
+            return f"<{type(value).__name__} too long to print>"
+    items = ", ".join(map(_show, value))
+    return f"[{items}]" if isinstance(value, list) else f"({items}{',' * (len(value) == 1)})"
+
+
 def _unpacked(edges: list) -> list:
     """The leading edges that unpack into three values, as tuples; stops at the first that does not."""
     triples = []
@@ -112,14 +128,14 @@ def _check_edge(edge: object, triple: tuple | None, n: int) -> None:
     `triple` is the edge unpacked, or None when it does not unpack.
     """
     if triple is None:
-        raise GraphValidationError(f"edge {edge!r} is not a (source, target, weight) triple")
+        raise GraphValidationError(f"edge {_show(edge)} is not a (source, target, weight) triple")
     k, j, w = triple
     if not (isinstance(k, int) and isinstance(j, int)):
-        raise GraphValidationError(f"edge {edge!r}: node indices must be integers")
+        raise GraphValidationError(f"edge {_show(edge)}: node indices must be integers")
     if not (1 <= k <= n and 1 <= j <= n):
-        raise GraphValidationError(f"edge {edge!r}: node index out of range 1..{n}")
+        raise GraphValidationError(f"edge {_show(edge)}: node index out of range 1..{n}")
     if k == j:
-        raise GraphValidationError(f"edge {edge!r}: self-loops are not allowed")
+        raise GraphValidationError(f"edge {_show(edge)}: self-loops are not allowed")
     try:
         w = float(w)
     except OverflowError:  # no repr: an int past the conversion limit has no decimal string
@@ -146,7 +162,7 @@ def _weights(values: tuple) -> np.ndarray:
 
 def _check_node_count(n: object) -> None:
     if not isinstance(n, int) or n < 1:
-        raise GraphValidationError(f"node count must be a positive integer, got {n!r}")
+        raise GraphValidationError(f"node count must be a positive integer, got {_show(n)}")
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedDigraph:
@@ -303,7 +319,7 @@ def mirror_graph(g: WeightedDigraph) -> WeightedDigraph:
 def permute_graph(g: WeightedDigraph, perm: tuple[int, ...]) -> WeightedDigraph:
     """Relabel nodes: node k becomes perm[k-1] (perm is a permutation of 1..n)."""
     if sorted(perm) != list(range(1, g.n + 1)):
-        raise GraphValidationError(f"{perm!r} is not a permutation of 1..{g.n}")
+        raise GraphValidationError(f"{_show(perm)} is not a permutation of 1..{g.n}")
     return build_graph(g.n, [(perm[k - 1], perm[j - 1], w) for k, j, w in g.edges])
 
 
@@ -328,12 +344,12 @@ def five_node_benchmark() -> WeightedDigraph:
 def _check_item(idx: int, item: object) -> None:
     """Raise graph_from_dict's error for the edge item at position idx, its checks in order."""
     if not (isinstance(item, list) and len(item) == 3):
-        raise GraphFormatError(f"edge #{idx + 1} {item!r}: expected [source, target, weight]")
+        raise GraphFormatError(f"edge #{idx + 1} {_show(item)}: expected [source, target, weight]")
     k, j, w = item
     if not (isinstance(k, int) and isinstance(j, int)) or isinstance(k, bool) or isinstance(j, bool):
-        raise GraphFormatError(f"edge #{idx + 1} {item!r}: node indices must be integers")
+        raise GraphFormatError(f"edge #{idx + 1} {_show(item)}: node indices must be integers")
     if isinstance(w, bool) or not isinstance(w, (int, float)):
-        raise GraphFormatError(f"edge #{idx + 1} {item!r}: weight {w!r} is not a number")
+        raise GraphFormatError(f"edge #{idx + 1} {_show(item)}: weight {_show(w)} is not a number")
     try:
         float(w)
     except OverflowError:
@@ -352,13 +368,13 @@ def graph_from_dict(data: dict) -> WeightedDigraph:
         raise GraphFormatError('both "n" and "edges" fields are required')
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool):
-        raise GraphFormatError(f'"n" must be an integer, got {n!r}')
+        raise GraphFormatError(f'"n" must be an integer, got {_show(n)}')
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise GraphFormatError('"edges" must be a list of [source, target, weight] triples')
     undirected = data.get("undirected", False)
     if not isinstance(undirected, bool):
-        raise GraphFormatError(f'"undirected" must be a boolean, got {undirected!r}')
+        raise GraphFormatError(f'"undirected" must be a boolean, got {_show(undirected)}')
     end = len(raw_edges)
     if not (all(issubclass(t, list) for t in set(map(type, raw_edges)))
             and set(map(len, raw_edges)) <= {3}):

@@ -42,6 +42,22 @@ def benchmark_graph() -> WeightedDigraph:
     return five_node_benchmark()
 
 
+@pytest.fixture
+def expm_calls(monkeypatch) -> list:
+    """Count scipy.linalg.expm calls made through ddmnet.certainty; one entry per call."""
+    import ddmnet.certainty
+
+    calls = []
+    real = ddmnet.certainty.scipy.linalg.expm
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(ddmnet.certainty.scipy.linalg, "expm", counting)
+    return calls
+
+
 # --- independent oracles ---------------------------------------------------
 
 

@@ -250,24 +250,58 @@ class TestAnalyticCovariance:
 
     def test_curves_grid_matches_pointwise(self, benchmark_graph):
         lap = laplacian(benchmark_graph)
-        times = np.array([0.0, 0.5, 1.0, 2.5])
-        grid = covariance_curves(lap, PARAMS, times)
-        for i, t in enumerate(times):
+        grid = covariance_curves(lap, PARAMS, 0.5, 6)
+        for i, t in enumerate(0.5 * np.arange(6)):
             expected = np.diag(analytic_covariance(lap, PARAMS, float(t), "normal"))
             assert np.allclose(grid[i], expected, atol=1e-10)
 
     def test_curves_general_route(self):
-        # non-normal stars; the second grid is unsorted, repeats a time and has uneven gaps
+        # non-normal stars; the second grid is the CLI's default, the third runs 2000 steps to t = 100
         for kind in ("exploding_star", "imploding_star"):
             spec = FamilySpec(kind, 4)
             lap = laplacian(make_family(spec))
-            for times in ((0.5, 1.0), (2.0, 0.1, 1.0, 0.1, 0.35)):
-                grid = covariance_curves(lap, PARAMS, np.array(times))
-                for i, t in enumerate(times):
+            for t_step, count, oracle_every in ((0.5, 3, 1), (0.05, 101, 10), (0.05, 2001, 100)):
+                grid = covariance_curves(lap, PARAMS, t_step, count)
+                assert grid.shape == (count, 4)
+                for i in range(count):
+                    t = i * t_step
                     closed = np.diag(closed_form_covariance(spec, PARAMS, t))
-                    oracle = np.diag(covariance_by_quadrature(lap, 1.0, t))
                     assert np.abs(grid[i] - closed).max() <= 1e-12 * np.abs(closed).max(), (kind, t)
-                    assert np.abs(grid[i] - oracle).max() < 1e-9, (kind, t)
+                    if i % oracle_every == 0:
+                        oracle = np.diag(covariance_by_quadrature(lap, 1.0, t))
+                        assert np.abs(grid[i] - oracle).max() < 1e-9, (kind, t)
+
+    def test_curves_walk_matches_pointwise_on_the_cli_grid(self, benchmark_graph):
+        # the CLI prints np.arange(0, t_max + 1e-12, t_step), which is exactly i * t_step
+        times = np.arange(0.0, 5.0 + 1e-12, 0.05)
+        assert np.array_equal(times, 0.05 * np.arange(101))
+        ring = build_graph(6, [(1, 2, 1.0), (2, 3, 0.5), (3, 4, 2.0), (4, 5, 1.0), (5, 6, 1.5),
+                               (6, 1, 1.0), (1, 4, 0.75), (3, 6, 1.25), (5, 2, 0.5)])
+        params = ModelParams(beta=0.3, sigma=1.7)
+        for g in (benchmark_graph, ring):
+            lap = laplacian(g)
+            grid = covariance_curves(lap, params, 0.05, times.size)
+            for i, t in enumerate(times):
+                pointwise = np.diag(analytic_covariance(lap, params, float(t), "general"))
+                assert np.abs(grid[i] - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
+
+    def test_curves_compute_one_exponential_per_grid(self, benchmark_graph, expm_calls):
+        lap = laplacian(benchmark_graph)
+        grid = covariance_curves(lap, PARAMS, 0.05, 101)
+        assert len(expm_calls) == 1
+        expm_calls.clear()
+        single = covariance_curves(lap, PARAMS, 0.05, 1)
+        assert expm_calls == []
+        assert single.shape == (1, 5) and not single.any() and not grid[0].any()
+
+    def test_curves_reject_bad_grid(self, benchmark_graph):
+        lap = laplacian(benchmark_graph)
+        for t_step in (math.inf, -math.inf, math.nan, 0.0, -0.05):
+            with pytest.raises(ValueError, match="t_step"):
+                covariance_curves(lap, PARAMS, t_step, 3)
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count"):
+                covariance_curves(lap, PARAMS, 0.05, count)
 
     def test_rejects_non_finite_time(self, benchmark_graph):
         lap = laplacian(benchmark_graph)
@@ -275,8 +309,6 @@ class TestAnalyticCovariance:
             for mode in ("normal", "general"):
                 with pytest.raises(ValueError):
                     analytic_covariance(lap, PARAMS, t, mode)
-            with pytest.raises(ValueError):
-                covariance_curves(lap, PARAMS, np.array([0.0, t]))
             with pytest.raises(ValueError):
                 closed_form_covariance(FamilySpec("complete", 5), PARAMS, t)
 

@@ -1,5 +1,5 @@
 """Reports compared byte for byte with files written before the array-backed
-graph storage.
+graph storage; the curves CSV was written with the uniform covariance walk.
 
 The runs use the same relative paths from the repository root as the files
 were made with, so the "graph_file" echo matches too. To rewrite the files
@@ -35,6 +35,7 @@ CASES = [
     ("centrality_undirected60.csv", ["centrality", UNDIRECTED, "--format", "csv"]),
     ("verify_digraph6.json", ["verify", DIGRAPH]),
     ("verify_five_node.json", ["verify", FIXTURE]),
+    ("curves_digraph6.csv", ["analyze", DIGRAPH, "--format", "curves"]),
 ]
 
 

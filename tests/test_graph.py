@@ -60,6 +60,16 @@ class TestBuildGraph:
             build_graph(2, [(1, 2, 1.0), (2, 1, 10**exponent)])
         assert str(err.value) == "edge (2, 1): weight is an integer beyond the float range"
 
+    def test_edge_holding_an_unprintable_integer_names_the_edge(self):
+        # an int past the 4300-digit conversion limit has no repr, so the message shows a placeholder
+        with pytest.raises(GraphValidationError) as err:
+            build_graph(2, [(1.5, 2, 10**5000)])
+        assert str(err.value) == "edge (1.5, 2, <int too long to print>): node indices must be integers"
+        with pytest.raises(GraphValidationError) as err:
+            build_graph(2, [(1, 2, 10**5000, 4)])
+        assert str(err.value) == ("edge (1, 2, <int too long to print>, 4) "
+                                  "is not a (source, target, weight) triple")
+
     def test_rejects_overflowing_degree_naming_the_node(self):
         with pytest.raises(GraphValidationError, match="node 1: weighted out-degree"):
             build_graph(3, [(1, 2, 1e308), (1, 3, 1e308)])
@@ -235,6 +245,11 @@ class TestGraphFiles:
     def test_missing_file(self):
         with pytest.raises(GraphFormatError, match="cannot read"):
             load_graph("no/such/file.json")
+
+    def test_item_holding_an_unprintable_integer_names_the_item(self):
+        with pytest.raises(GraphFormatError) as err:
+            graph_from_dict({"n": 2, "edges": [[1.5, 2, 10**5000]]})
+        assert str(err.value) == "edge #1 [1.5, 2, <int too long to print>]: node indices must be integers"
 
     def test_unknown_field_rejected(self):
         with pytest.raises(GraphFormatError, match="unknown fields"):

@@ -35,3 +35,11 @@ def test_imploding_star_skips_and_passes():
     assert statuses["spectral-route"] == "SKIP"
     assert statuses["mirror-symmetric-part"] == "SKIP"
     assert statuses["covariance-small-time"] == "PASS"
+
+
+def test_two_exponentials_per_run(benchmark_graph, expm_calls):
+    # one Van Loan block at t = 1e-6 and one at the walk's step 0.5; the
+    # row-stochastic check reuses their propagators
+    results = run_checks(benchmark_graph)
+    assert all_passed(results)
+    assert expm_calls == [(10, 10), (10, 10)]
