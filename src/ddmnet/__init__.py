@@ -12,6 +12,7 @@ from .centrality import (
     geodesic_closeness,
     information_centrality,
     information_matrix,
+    information_scores,
     naive_combined_information,
     rank_nodes,
 )

@@ -129,29 +129,34 @@ def rank_nodes(scores: tuple[float, ...] | list[float] | np.ndarray,
     return tuple(k + 1 for k in order)
 
 
-def information_centrality(g: WeightedDigraph, variant: str = "harmonic",
-                           tol: Tolerances = DEFAULT_TOL) -> CentralityReport:
-    """Full centrality report for a connected undirected graph.
+def information_scores(lap_mirror: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Harmonic and arithmetic information centrality from the mirror Laplacian.
 
-    The harmonic variant averages the combined-path distances 1/I_kj (the
-    self-term is 0, mirroring the closeness convention); the arithmetic
-    variant averages I_kj itself over the other nodes. Both are computed;
-    `variant` selects which score orders the ranking.
+    The harmonic score inverts the mean combined-path distance 1/I_kj (the
+    self-term is 0, mirroring the closeness convention); the arithmetic score
+    averages I_kj itself over the other nodes.
     """
-    if variant not in ("harmonic", "arithmetic"):
-        raise ValueError(f"unknown variant {variant!r}; expected 'harmonic' or 'arithmetic'")
-    _require_undirected(g)
-    n = g.n
-    _, closeness = geodesic_closeness(g)
-    info = information_matrix(laplacian(g))
+    info = information_matrix(lap_mirror)
+    n = info.c.shape[0]
     mean_resistance = info.resistance.sum(axis=1) / n
     harmonic = tuple(math.inf if m == 0.0 else float(1.0 / m) for m in mean_resistance)
     if n == 1:
-        arithmetic: tuple[float, ...] = (math.inf,)
-    else:
-        off = info.information.copy()
-        np.fill_diagonal(off, 0.0)
-        arithmetic = tuple(float(v) for v in off.sum(axis=1) / (n - 1))
+        return harmonic, (math.inf,)
+    off = info.information.copy()
+    np.fill_diagonal(off, 0.0)
+    return harmonic, tuple(float(v) for v in off.sum(axis=1) / (n - 1))
+
+
+def information_centrality(g: WeightedDigraph, variant: str = "harmonic",
+                           tol: Tolerances = DEFAULT_TOL) -> CentralityReport:
+    """Full centrality report for a connected undirected graph: geodesic
+    closeness next to both `information_scores`; `variant` selects which
+    score orders the ranking.
+    """
+    if variant not in ("harmonic", "arithmetic"):
+        raise ValueError(f"unknown variant {variant!r}; expected 'harmonic' or 'arithmetic'")
+    _, closeness = geodesic_closeness(g)  # rejects a directed graph
+    harmonic, arithmetic = information_scores(laplacian(g))
     scores = harmonic if variant == "harmonic" else arithmetic
     return CentralityReport(
         closeness=closeness,

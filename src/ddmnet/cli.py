@@ -3,7 +3,8 @@
 Subcommands: analyze, centrality, family, simulate, verify. Reports are
 emitted as JSON (default), CSV tables, or plot-ready variance curves, and
 embed the full configuration so a run can be reproduced byte-for-byte.
-Exit codes: 0 ok, 1 verification failure, 2 usage or input errors.
+Exit codes: 0 ok, 1 verification failure, 2 usage or input errors, 3 an
+internal error (an unexpected exception, reported in one line on stderr).
 `main` runs scipy's bundled OpenBLAS on one thread (README, "Threading").
 """
 
@@ -30,6 +31,7 @@ from .centrality import (
     enumerate_combined_paths,
     information_centrality,
     information_matrix,
+    information_scores,
     naive_combined_information,
 )
 from .certainty import (
@@ -53,6 +55,7 @@ from .verify import FAIL, run_checks
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _profile_dict(p: GraphProfile) -> dict:
@@ -94,6 +97,7 @@ def _json_text(body: dict) -> str:
 
     The edge list is rendered with one join over the arc arrays and spliced
     in; it holds ints and finite floats, written as json writes them (repr).
+    repr depends only on the value, so each distinct weight is formatted once.
     """
     g = body["graph"]
     text = json.dumps({**body, "graph": {"n": g.n, "edges": [], "undirected": False}},
@@ -104,8 +108,10 @@ def _json_text(body: dict) -> str:
     nodes = {*ks, *js}  # each node label is formatted once, not once per arc
     head = {k: f",\n      [\n        {k},\n        " for k in nodes}
     tail = {j: f"{j},\n        " for j in nodes}
+    weights, which = np.unique(g.w, return_inverse=True)
+    shown = list(map(repr, weights.tolist()))
     block = "".join(chain.from_iterable(zip(
-        map(head.__getitem__, ks), map(tail.__getitem__, js), map(repr, g.w.tolist()),
+        map(head.__getitem__, ks), map(tail.__getitem__, js), map(shown.__getitem__, which.tolist()),
         repeat("\n      ]"))))
     return text.replace(_EMPTY_EDGES, _EMPTY_EDGES[:-2] + "\n" + block[2:] + "\n    ],", 1) + "\n"
 
@@ -196,8 +202,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if eligible:
         spectral = certainty_spectral(spectral_decompose(lap), params)
         group = certainty_group_inverse(mirror_group_inverse(lap_mirror), params)
-        cent = information_centrality(mirror, "harmonic")
-        bridge = certainty_via_centrality(cent.info_harmonic, group.kirchhoff_index, params, g.n)
+        info_harmonic, _ = information_scores(lap_mirror)
+        bridge = certainty_via_centrality(info_harmonic, group.kirchhoff_index, params, g.n)
         reference = spectral
         for rep in (spectral, group, bridge):
             routes[rep.route] = _route_entry(rep)
@@ -504,6 +510,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, not a verdict on the input: never exit 0 or 1
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

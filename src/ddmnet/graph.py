@@ -160,9 +160,15 @@ def _weights(values: tuple) -> np.ndarray:
     return np.array(converted, dtype=float)
 
 
+_MAX_NODES = int(np.iinfo(np.int64).max)  # node labels are stored as int64
+
+
 def _check_node_count(n: object) -> None:
     if not isinstance(n, int) or n < 1:
         raise GraphValidationError(f"node count must be a positive integer, got {_show(n)}")
+    if n > _MAX_NODES:
+        raise GraphValidationError(
+            f"node count n exceeds the 64-bit index range ({_MAX_NODES}), got {_show(n)}")
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedDigraph:
@@ -201,10 +207,7 @@ def _graph_from_columns(n: int, ks: Sequence, js: Sequence, ws: Sequence, m: int
         end = next(i for i, (k, j) in enumerate(zip(ks, js)) if type(k) in not_int or type(j) in not_int)
     src, dst = np.array(ks[:end]), np.array(js[:end])  # object dtype beyond the int64 range
     end = _first((src < 1) | (src > n) | (dst < 1) | (dst > n) | (src == dst), end)
-    try:
-        src, dst = src[:end].astype(np.int64), dst[:end].astype(np.int64)
-    except OverflowError as exc:
-        raise GraphValidationError(f"node count {n} exceeds the 64-bit index range") from exc
+    src, dst = src[:end].astype(np.int64), dst[:end].astype(np.int64)
     wts = _weights(ws[:end])
     end = _first(~(wts > 0) | ~np.isfinite(wts), len(wts))
     src, dst, wts = src[:end], dst[:end], wts[:end]

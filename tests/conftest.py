@@ -58,6 +58,22 @@ def expm_calls(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def closeness_calls(monkeypatch) -> list:
+    """Count geodesic_closeness calls made through ddmnet.centrality; one graph order per call."""
+    import ddmnet.centrality
+
+    calls = []
+    real = ddmnet.centrality.geodesic_closeness
+
+    def counting(g, *args, **kwargs):
+        calls.append(g.n)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(ddmnet.centrality, "geodesic_closeness", counting)
+    return calls
+
+
 # --- independent oracles ---------------------------------------------------
 
 

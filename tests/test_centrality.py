@@ -18,6 +18,7 @@ from ddmnet import (
     geodesic_closeness,
     information_centrality,
     information_matrix,
+    information_scores,
     laplacian,
     mirror_group_inverse,
     naive_combined_information,
@@ -176,6 +177,21 @@ class TestInformationCentrality:
                     == information_centrality(benchmark_graph, variant).ranking)
         assert (rank_nodes(information_centrality(scaled).closeness)
                 == rank_nodes(information_centrality(benchmark_graph).closeness))
+
+    def test_scores_match_the_report_exactly(self):
+        rng = np.random.default_rng(77)
+        graphs = [build_graph(1, [])] + [random_connected_graph(rng, int(n)) for n in rng.integers(2, 30, 12)]
+        for g in graphs:
+            harmonic, arithmetic = information_scores(laplacian(g))
+            for variant, scores in (("harmonic", harmonic), ("arithmetic", arithmetic)):
+                rep = information_centrality(g, variant)
+                assert rep.info_harmonic == harmonic
+                assert rep.info_arithmetic == arithmetic
+                assert rep.ranking == rank_nodes(scores)
+
+    def test_report_computes_closeness_once(self, benchmark_graph, closeness_calls):
+        information_centrality(benchmark_graph)
+        assert closeness_calls == [5]
 
 
 class TestCertaintyBridge:

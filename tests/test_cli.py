@@ -4,8 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ddmnet import cli, graph_from_dict, graph_to_dict, load_graph
+from ddmnet import GraphValidationError, build_graph, cli, graph_from_dict, graph_to_dict, load_graph
 from ddmnet.cli import main
 from ddmnet.config import DEFAULT_TOL
 
@@ -131,6 +133,14 @@ class TestCentrality:
         code, out = run_cli("centrality", BENCHMARK, "--format", "csv", capsys=capsys)
         assert code == 0
         assert out.out.splitlines()[0] == "node,closeness,info_harmonic,info_arithmetic,rank"
+
+
+    def test_only_centrality_computes_closeness(self, closeness_calls, capsys):
+        for command in ("analyze", "verify"):
+            assert run_cli(command, BENCHMARK, capsys=capsys)[0] == 0
+        assert closeness_calls == []
+        assert run_cli("centrality", BENCHMARK, capsys=capsys)[0] == 0
+        assert closeness_calls == [5]
 
 
 class TestFamily:
@@ -329,6 +339,19 @@ class TestGraphIO:
                            f"limit ({sys.get_int_max_str_digits()} digits)\n")
         assert out.out == ""
 
+    @pytest.mark.parametrize("n,edges", [
+        ("1" + "0" * 400, "[]"),
+        ("1" + "0" * 400, "[[1, 2, 1.0]]"),
+        (str(2**63), "[[1, 2, 1.0]]"),
+    ])
+    def test_node_count_beyond_int64_is_usage_error(self, n, edges, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"n": {n}, "edges": {edges}}}')
+        code, out = run_cli("analyze", str(path), capsys=capsys)
+        assert code == 2
+        assert out.err == f"error: node count n exceeds the 64-bit index range ({2**63 - 1}), got {n}\n"
+        assert out.out == ""
+
     def test_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_bytes(b'{"n": 2, "edges": [], \xff}')
@@ -384,6 +407,43 @@ class TestBlasThreads:
         before = openblas_threads()
         assert run_cli("family", "complete:4:1", capsys=capsys)[0] == 0
         assert openblas_threads() == before
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_3_with_one_line(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_analyze", broken)
+        code, out = run_cli("analyze", BENCHMARK, capsys=capsys)
+        assert code == 3
+        assert out.err == "internal error: RuntimeError: boom second line\n"
+        assert out.out == ""
+
+
+# repeated, integer-valued, subnormal and near-overflow weights
+ECHO_WEIGHTS = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 0.1, 5e-324, 1e308]),
+                         st.floats(min_value=5e-324, max_value=1e308))
+
+
+@st.composite
+def echo_graphs(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(k, j) for k in range(1, n + 1) for j in range(1, n + 1) if k != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    try:
+        return build_graph(n, [(k, j, draw(ECHO_WEIGHTS)) for k, j in chosen])
+    except GraphValidationError:  # a weighted degree overflowed
+        assume(False)
+
+
+class TestJsonEcho:
+    @settings(deadline=None)
+    @given(echo_graphs())
+    def test_matches_json_dumps(self, g):
+        body = {"command": "analyze", "config": {"sigma": 1.0}, "graph": g, "passed": True}
+        expected = json.dumps({**body, "graph": graph_to_dict(g)}, indent=2, sort_keys=True, allow_nan=False)
+        assert cli._json_text(body) == expected + "\n"
 
 
 class TestReproducibility:

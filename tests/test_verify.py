@@ -43,3 +43,11 @@ def test_two_exponentials_per_run(benchmark_graph, expm_calls):
     results = run_checks(benchmark_graph)
     assert all_passed(results)
     assert expm_calls == [(10, 10), (10, 10)]
+
+
+def test_no_geodesic_closeness(closeness_calls):
+    # the centrality route needs only the information scores
+    rng = np.random.default_rng(56)
+    for g in (build_graph(5, [(k, k % 5 + 1, 1.0) for k in range(1, 6)]), random_connected_graph(rng, 7)):
+        assert all_passed(run_checks(g))
+    assert closeness_calls == []
