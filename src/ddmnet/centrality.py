@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .certainty import CertaintyReport, ModelParams, _report_from_inv_mu
 from .config import DEFAULT_TOL, Tolerances
@@ -38,8 +36,12 @@ def geodesic_closeness(g: WeightedDigraph) -> tuple[np.ndarray, tuple[float, ...
 
     Closeness of a node is the inverse of its mean distance to all nodes,
     the zero self-distance included. Distances come from scipy's Dijkstra
-    over the arcs; lengths are positive by construction.
+    over the arcs; lengths are positive by construction. scipy is imported
+    here, on first use, so that commands which report no closeness never load it.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     _require_undirected(g)
     n = g.n
     lengths = csr_matrix((1.0 / g.w, (g.src - 1, g.dst - 1)), shape=(n, n))

@@ -19,13 +19,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DisconnectedGraphError, GraphValidationError, NotNormalError, NotStronglyConnectedError
-from .graph import is_normal, normality_residual
+from .graph import is_normal, normality_residual, strongly_connected
+from .lazyscipy import scipy_linalg
 
 INFINITE_CERTAINTY = math.inf
 
@@ -125,7 +123,7 @@ def spectral_decompose(lap: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectr
         k, j = bad[0]
         raise GraphValidationError(f"matrix is not a valid Laplacian: edge ({k + 1}, {j + 1}): "
                                    f"weight must be finite and > 0, got {-float(lap[k, j])}")
-    if connected_components(csr_matrix(off), directed=True, connection="strong")[0] != 1:
+    if not strongly_connected(n, *np.nonzero(off)):
         raise NotStronglyConnectedError("graph is not strongly connected")
 
     scale = max(1.0, float(np.linalg.norm(lap, "fro")))
@@ -134,7 +132,7 @@ def spectral_decompose(lap: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectr
         eigvals = eigvals_r.astype(complex)
         vecs = vecs_r.astype(complex)
     else:
-        tri, z = scipy.linalg.schur(lap, output="complex")
+        tri, z = scipy_linalg().schur(lap, output="complex")
         eigvals = np.diag(tri).copy()
         vecs = z
 
@@ -237,7 +235,7 @@ def variance_envelope(params: ModelParams, n: int, t: float) -> tuple[float, flo
 
 def propagator(lap: np.ndarray, t: float) -> np.ndarray:
     """State transition matrix expm(-L t); row-stochastic for every Laplacian."""
-    return scipy.linalg.expm(-np.asarray(lap, dtype=float) * t)
+    return scipy_linalg().expm(-np.asarray(lap, dtype=float) * t)
 
 
 def _covariance_from_spectrum(data: SpectralData, params: ModelParams, t: float,
@@ -274,7 +272,7 @@ def _covariance_step(lap: np.ndarray, sigma2: float, t: float) -> tuple[np.ndarr
     block[:n, :n] = lap * tau
     block[:n, n:] = sigma2 * tau * np.eye(n)
     block[n:, n:] = -lap.T * tau
-    e = scipy.linalg.expm(block)
+    e = scipy_linalg().expm(block)
     phi = e[n:, n:].T
     p = phi @ e[:n, n:]
     for _ in range(k):

@@ -5,25 +5,26 @@ emitted as JSON (default), CSV tables, or plot-ready variance curves, and
 embed the full configuration so a run can be reproduced byte-for-byte.
 Exit codes: 0 ok, 1 verification failure, 2 usage or input errors, 3 an
 internal error (an unexpected exception, reported in one line on stderr).
-`main` runs scipy's bundled OpenBLAS on one thread (README, "Threading").
+
+Importing this module loads numpy and no scipy. A command loads scipy only
+where it runs a scipy routine: the complex Schur factorization (a normal,
+non-symmetric Laplacian), the matrix exponential (curves, family, simulate,
+verify) or Dijkstra (centrality). analyze on a symmetric graph, in JSON or
+CSV, runs on numpy alone. `main` runs scipy's bundled OpenBLAS on one thread
+from the moment scipy.linalg is loaded (README, "Threading").
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
-import functools
 import io
 import json
 import math
-import os
 import sys
 from itertools import chain, repeat
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .centrality import (
@@ -49,6 +50,7 @@ from .certainty import (
 from .errors import DdmnetError, PathCapExceededError, StepCapError
 from .families import closed_form_covariance, closed_form_mu, make_family, parse_family_spec
 from .graph import GraphProfile, WeightedDigraph, classify, laplacian, load_graph, mirror_graph
+from .lazyscipy import single_thread_blas_on_load
 from .simulate import SimConfig, empirical_moments, simulate_ensemble, validate_moments
 from .verify import FAIL, run_checks
 
@@ -460,46 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scipy_openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS copy loaded from scipy's wheel, or None when there is none.
-
-    Wheels bundle one OpenBLAS with numpy and another with scipy; a scipy that
-    links the BLAS numpy uses maps none from its own directories. Linux only:
-    elsewhere /proc/self/maps does not exist.
-    """
-    package = Path(scipy.__file__).resolve().parent
-    wheel = tuple(f"{d}{os.sep}" for d in (package, package.with_name("scipy.libs")))
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return None
-    found = sorted(path for path in paths if path.startswith(wheel))
-    return ctypes.CDLL(found[0]) if found else None
-
-
-@functools.cache
-def _single_thread_scipy_blas() -> None:
-    """Run scipy's own OpenBLAS copy, if it has one, on one thread.
-
-    Each OpenBLAS copy keeps a thread pool as large as the CPU count, and
-    scipy's serves only expm and schur here. Requests alternate between it
-    and numpy's pool, so two full pools would contend for the same CPUs.
-    numpy's pool, which computes every other result, keeps its default.
-    """
-    lib = _scipy_openblas()
-    if lib is None:
-        return
-    for symbol in ("scipy_openblas_set_num_threads", "openblas_set_num_threads"):
-        fn = getattr(lib, symbol, None)
-        if fn is not None:
-            fn.argtypes, fn.restype = [ctypes.c_int], None
-            fn(1)
-            return
-
-
 def main(argv: list[str] | None = None) -> int:
-    _single_thread_scipy_blas()
+    single_thread_blas_on_load()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .certainty import ModelParams
 from .errors import GraphValidationError
-from .graph import WeightedDigraph, build_graph
+from .graph import WeightedDigraph, _check_node_count, build_graph
 
 KINDS = (
     "complete",
@@ -51,6 +51,7 @@ class FamilySpec:
             raise GraphValidationError(f"unknown family kind {self.kind!r}; expected one of {KINDS}")
         if not isinstance(self.n, int) or self.n < 1:
             raise GraphValidationError(f"family order must be a positive integer, got {self.n!r}")
+        _check_node_count(self.n)  # before make_family builds the edge list
         if self.kind in ("undirected_ring", "directed_ring") and self.n < 3:
             raise GraphValidationError(f"rings need n >= 3, got n={self.n}")
         if not self.alpha > 0:

@@ -23,8 +23,6 @@ from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import GraphFormatError, GraphValidationError
@@ -160,15 +158,23 @@ def _weights(values: tuple) -> np.ndarray:
     return np.array(converted, dtype=float)
 
 
-_MAX_NODES = int(np.iinfo(np.int64).max)  # node labels are stored as int64
+_MAX_INDEX = int(np.iinfo(np.int64).max)  # node labels are stored as int64
+
+# Node count above which a graph is refused. Every command holds dense n x n
+# float64 matrices (adjacency, Laplacian, eigenvectors; verify's Van Loan
+# block is 2n x 2n), and at this count one such matrix is already 8 GiB.
+MAX_NODES = 2**15
 
 
 def _check_node_count(n: object) -> None:
     if not isinstance(n, int) or n < 1:
         raise GraphValidationError(f"node count must be a positive integer, got {_show(n)}")
-    if n > _MAX_NODES:
+    if n > _MAX_INDEX:
         raise GraphValidationError(
-            f"node count n exceeds the 64-bit index range ({_MAX_NODES}), got {_show(n)}")
+            f"node count n exceeds the 64-bit index range ({_MAX_INDEX}), got {_show(n)}")
+    if n > MAX_NODES:
+        raise GraphValidationError(
+            f"node count n exceeds the cap of {MAX_NODES} nodes for dense n x n matrices, got {n}")
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedDigraph:
@@ -265,13 +271,43 @@ def is_normal(lap: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     return normality_residual(lap) <= tol.normality_rtol * scale
 
 
+def _reaches_every_node(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    """True if node 0 reaches all of 0..n-1 over the arcs src[i] -> dst[i].
+
+    A level-by-level search: the arcs are sorted by source, so each level
+    reads only the out-arcs of its frontier, located by the per-source offsets.
+    """
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = [0]
+    while frontier:
+        heads = np.concatenate([dst[bounds[v]:bounds[v + 1]] for v in frontier])
+        if len(frontier) > 1:  # several nodes' arcs may share a head
+            hit = np.zeros(n, dtype=bool)
+            hit[heads] = True
+            heads = np.flatnonzero(hit)
+        heads = heads[~seen[heads]]
+        seen[heads] = True
+        frontier = heads.tolist()
+    return bool(seen.all())
+
+
+def strongly_connected(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Strong connectivity of the arcs src[i] -> dst[i] on nodes 0..n-1.
+
+    `src` must be sorted. The graph is strongly connected exactly when
+    node 0 reaches every node over the arcs and over the reversed arcs.
+    """
+    if not _reaches_every_node(n, src, dst):
+        return False
+    order = np.argsort(dst)
+    return _reaches_every_node(n, dst[order], src[order])
+
+
 def is_strongly_connected(g: WeightedDigraph) -> bool:
     """Strong connectivity of the directed edge pattern (weights ignored)."""
-    if g.n == 1:
-        return True
-    sparse = csr_matrix((np.ones(g.src.size), (g.src - 1, g.dst - 1)), shape=(g.n, g.n))
-    ncomp, _ = connected_components(sparse, directed=True, connection="strong")
-    return int(ncomp) == 1
+    return strongly_connected(g.n, g.src - 1, g.dst - 1)
 
 
 def classify(g: WeightedDigraph, tol: Tolerances = DEFAULT_TOL) -> GraphProfile:

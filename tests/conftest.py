@@ -44,17 +44,18 @@ def benchmark_graph() -> WeightedDigraph:
 
 @pytest.fixture
 def expm_calls(monkeypatch) -> list:
-    """Count scipy.linalg.expm calls made through ddmnet.certainty; one entry per call."""
-    import ddmnet.certainty
+    """Count scipy.linalg.expm calls made through ddmnet's scipy accessor; one entry per call."""
+    from ddmnet.lazyscipy import scipy_linalg
 
+    linalg = scipy_linalg()
     calls = []
-    real = ddmnet.certainty.scipy.linalg.expm
+    real = linalg.expm
 
     def counting(a, *args, **kwargs):
         calls.append(np.shape(a))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(ddmnet.certainty.scipy.linalg, "expm", counting)
+    monkeypatch.setattr(linalg, "expm", counting)
     return calls
 
 

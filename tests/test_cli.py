@@ -1,17 +1,25 @@
 import ctypes
+import inspect
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddmnet import GraphValidationError, build_graph, cli, graph_from_dict, graph_to_dict, load_graph
+from ddmnet import lazyscipy
 from ddmnet.cli import main
 from ddmnet.config import DEFAULT_TOL
+from ddmnet.graph import MAX_NODES
 
 BENCHMARK = "fixtures/five_node_benchmark.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv, capsys=None):
@@ -352,6 +360,16 @@ class TestGraphIO:
         assert out.err == f"error: node count n exceeds the 64-bit index range ({2**63 - 1}), got {n}\n"
         assert out.out == ""
 
+    @pytest.mark.parametrize("n", [MAX_NODES + 1, 2**63 - 1])
+    def test_node_count_beyond_dense_cap_is_usage_error(self, n, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"n": {n}, "edges": []}}')
+        code, out = run_cli("analyze", str(path), capsys=capsys)
+        assert code == 2
+        assert out.err == (f"error: node count n exceeds the cap of {MAX_NODES} nodes "
+                           f"for dense n x n matrices, got {n}\n")
+        assert out.out == ""
+
     def test_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_bytes(b'{"n": 2, "edges": [], \xff}')
@@ -381,11 +399,35 @@ def openblas_threads() -> dict[str, int]:
 
 
 @pytest.fixture
-def fresh_blas_setting():
-    """main() sets scipy's BLAS threads once per process; let a test see it run again."""
-    cli._single_thread_scipy_blas.cache_clear()
+def fresh_blas_setting(monkeypatch):
+    """main() requests scipy's BLAS on one thread once per process; let a test see it happen again."""
+    monkeypatch.setattr(lazyscipy, "_single_thread_requested", False)
+    lazyscipy._single_thread_scipy_blas.cache_clear()
     yield
-    cli._single_thread_scipy_blas.cache_clear()
+    lazyscipy._single_thread_scipy_blas.cache_clear()
+
+
+def run_python(code: str) -> str:
+    """Run code in a fresh interpreter with ddmnet importable; return its stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# prints the thread count of each OpenBLAS copy in the process, as JSON
+PRINT_BLAS_THREADS = (f"import ctypes, json\n{inspect.getsource(openblas_threads)}\n"
+                      "print(json.dumps(openblas_threads()))\n")
+
+
+def scipy_blas_path(threads: dict[str, int]) -> str:
+    """The OpenBLAS copy from scipy's wheel among those in `threads`."""
+    package = Path(scipy.__file__).resolve().parent
+    wheel = tuple(f"{d}{os.sep}" for d in (package, package.with_name("scipy.libs")))
+    (path,) = [p for p in threads if p.startswith(wheel)]
+    return path
 
 
 class TestBlasThreads:
@@ -393,20 +435,66 @@ class TestBlasThreads:
         before = openblas_threads()
         if len(before) < 2:
             pytest.skip("numpy and scipy share one BLAS here")
-        scipy_path = cli._scipy_openblas()._name
+        scipy_path = lazyscipy._scipy_openblas()._name
         assert run_cli("family", "complete:4:1", capsys=capsys)[0] == 0
         after = openblas_threads()
         assert after.pop(scipy_path) == 1
         assert after == {path: n for path, n in before.items() if path != scipy_path}
 
     def test_does_nothing_when_no_scipy_copy_is_found(self, fresh_blas_setting, monkeypatch, capsys):
-        setter = getattr(cli._scipy_openblas(), "scipy_openblas_set_num_threads", None)
+        setter = getattr(lazyscipy._scipy_openblas(), "scipy_openblas_set_num_threads", None)
         if setter is not None:  # undo an earlier main(), so that a setting made now would show
             setter(2)
-        monkeypatch.setattr(cli, "_scipy_openblas", lambda: None)
+        monkeypatch.setattr(lazyscipy, "_scipy_openblas", lambda: None)
         before = openblas_threads()
         assert run_cli("family", "complete:4:1", capsys=capsys)[0] == 0
         assert openblas_threads() == before
+
+    def test_cold_verify_runs_scipy_copy_on_one_thread(self):
+        # scipy is not loaded when main() starts, so the setting must wait for scipy.linalg
+        threads = json.loads(run_python(
+            "import os, sys\n"
+            "from ddmnet.cli import main\n"
+            "assert 'scipy' not in sys.modules\n"
+            f"assert main(['verify', {BENCHMARK!r}, '--output', os.devnull]) == 0\n"
+            + PRINT_BLAS_THREADS))
+        if len(threads) < 2:
+            pytest.skip("numpy and scipy share one BLAS here")
+        assert threads.pop(scipy_blas_path(threads)) == 1
+        assert threads == json.loads(run_python("import numpy\n" + PRINT_BLAS_THREADS))
+
+    def test_library_use_keeps_the_default_pools(self):
+        default = json.loads(run_python("import scipy.linalg\n" + PRINT_BLAS_THREADS))
+        if len(default) < 2:
+            pytest.skip("numpy and scipy share one BLAS here")
+        threads = json.loads(run_python(
+            "import ddmnet\n"
+            "lap = ddmnet.laplacian(ddmnet.five_node_benchmark())\n"
+            "ddmnet.analytic_covariance(lap, ddmnet.ModelParams(), 1.0, 'general')\n"
+            + PRINT_BLAS_THREADS))
+        assert threads == default
+
+
+def scipy_modules_after(*argvs: list[str]) -> list[str]:
+    """The scipy modules loaded once main() has run each argv in a fresh interpreter."""
+    return json.loads(run_python(
+        "import json, os, sys\n"
+        "import ddmnet.cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    assert ddmnet.cli.main(argv + ['--output', os.devnull]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"))
+
+
+class TestImportBoundary:
+    def test_symmetric_analyze_loads_no_scipy(self):
+        assert scipy_modules_after(["analyze", BENCHMARK], ["analyze", "tests/data/undirected60.json"],
+                                   ["analyze", BENCHMARK, "--format", "csv"]) == []
+
+    @pytest.mark.parametrize("argv", [["centrality", BENCHMARK], ["verify", BENCHMARK]],
+                             ids=["centrality", "verify"])
+    def test_commands_that_run_scipy_routines_load_it(self, argv):
+        assert "scipy.linalg" in scipy_modules_after(argv)
 
 
 class TestInternalError:

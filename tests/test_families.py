@@ -19,6 +19,7 @@ from ddmnet import (
     path_spectrum,
     spectral_decompose,
 )
+from ddmnet.graph import MAX_NODES
 
 PARAMS = ModelParams()
 
@@ -67,6 +68,14 @@ class TestMakeFamily:
     def test_ring_needs_three_nodes(self):
         with pytest.raises(GraphValidationError):
             FamilySpec("undirected_ring", 2)
+
+    def test_order_beyond_the_node_cap_is_refused_before_building(self):
+        # the edge list of a ring this large would not fit in memory
+        with pytest.raises(GraphValidationError) as err:
+            parse_family_spec(f"directed_ring:{10**11}:1")
+        assert str(err.value) == (f"node count n exceeds the cap of {MAX_NODES} nodes "
+                                  f"for dense n x n matrices, got {10**11}")
+        assert FamilySpec("directed_ring", MAX_NODES).n == MAX_NODES
 
     def test_circulant_offset_validation(self):
         with pytest.raises(GraphValidationError):

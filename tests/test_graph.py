@@ -16,6 +16,7 @@ from ddmnet import (
     mirror_graph,
     permute_graph,
 )
+from ddmnet.graph import MAX_NODES
 
 
 def undirected(n, pairs, w=1.0):
@@ -32,6 +33,15 @@ class TestBuildGraph:
     def test_single_node(self):
         g = build_graph(1, [])
         assert g.n == 1 and g.edges == ()
+
+    def test_node_count_up_to_the_dense_cap(self):
+        # no n x n matrix is built here, so the cap is tested without allocating one
+        g = build_graph(MAX_NODES, [(1, MAX_NODES, 1.0)])
+        assert g.n == MAX_NODES and g.edges == ((1, MAX_NODES, 1.0),)
+        with pytest.raises(GraphValidationError) as err:
+            build_graph(MAX_NODES + 1, [])
+        assert str(err.value) == (f"node count n exceeds the cap of {MAX_NODES} nodes "
+                                  f"for dense n x n matrices, got {MAX_NODES + 1}")
 
     def test_rejects_negative_weight(self):
         with pytest.raises(GraphValidationError):

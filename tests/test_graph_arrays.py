@@ -6,17 +6,21 @@ symmetry test. Over random edge lists with injected faults, the library must
 raise the same exception class with the same message, and on valid lists
 give the same arcs, bit-equal mirror weights and the same symmetry verdict.
 The references echo edges with the library's `_show`, which is `repr` except
-for an int too long to convert to a string.
+for an int too long to convert to a string. The numpy strong-connectivity
+search is held to scipy's strongly connected components the same way.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ddmnet import GraphFormatError, GraphValidationError, build_graph, graph_from_dict, mirror_graph
-from ddmnet.graph import _show
+from ddmnet.graph import _show, is_strongly_connected, strongly_connected
 
 # --- reference implementations ------------------------------------------------
 
@@ -194,6 +198,27 @@ def symmetric_graphs(draw):
     return n, edges
 
 
+@st.composite
+def arc_patterns(draw):
+    """(n, arcs) on nodes 1..n: a ring, a one-way chain or nothing over some of the
+    nodes (the rest isolated), plus random extra arcs, possibly none."""
+    n = draw(st.integers(1, 30))
+    order = draw(st.permutations(range(1, n + 1)))[:draw(st.integers(1, n))]
+    shape = draw(st.sampled_from(["ring", "chain", "none"]))
+    arcs = set(zip(order, order[1:])) if shape != "none" else set()
+    if shape == "ring" and len(order) > 1:
+        arcs.add((order[-1], order[0]))
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    arcs |= {(k, j) for k, j in extra if k != j}
+    return n, sorted(arcs)
+
+
+def scipy_strongly_connected(n, arcs):
+    k, j = (np.array(c, dtype=int) - 1 for c in zip(*arcs)) if arcs else (np.zeros(0, int),) * 2
+    pattern = csr_matrix((np.ones(len(arcs)), (k, j)), shape=(n, n))
+    return connected_components(pattern, directed=True, connection="strong")[0] == 1
+
+
 # --- properties ---------------------------------------------------------------------
 
 
@@ -227,6 +252,28 @@ class TestAgainstReference:
         n, edges = case
         g = build_graph(n, edges)
         assert g.is_undirected(rtol) == ref_is_undirected(g.edges, rtol)
+
+
+class TestStrongConnectivity:
+    """The numpy reachability against scipy's strongly connected components."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(arc_patterns())
+    def test_matches_scipy(self, case):
+        n, arcs = case
+        expected = scipy_strongly_connected(n, arcs)
+        assert is_strongly_connected(build_graph(n, [(k, j, 1.0) for k, j in arcs])) == expected
+        pattern = np.zeros((n, n))
+        for k, j in arcs:
+            pattern[k - 1, j - 1] = -1.0
+        assert strongly_connected(n, *np.nonzero(pattern)) == expected  # as spectral_decompose calls it
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["ring", "chain"])
+    def test_directed_ring_of_2000(self, closed):
+        n = 2000
+        arcs = [(k, k + 1) for k in range(1, n)] + [(n, 1)] * closed
+        g = build_graph(n, [(k, j, 1.0) for k, j in arcs])
+        assert is_strongly_connected(g) == closed == scipy_strongly_connected(n, arcs)
 
 
 class TestStorage:
