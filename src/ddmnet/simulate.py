@@ -5,16 +5,27 @@ Euler-Maruyama with additive noise:
     x <- x + (beta * 1 - L x) h + sigma sqrt(h) xi,   x(0) = 0,
 
 one independent SFC64 stream per trajectory, seeded by
-SeedSequence((seed, trajectory index)), so serial and parallel runs, and
-runs split across any number of workers, produce bit-identical moment sums.
-Hashing the pair, rather than combining seed and index into one integer,
-keeps the streams of different seeds apart. Moments
-are accumulated streaming (one pass, O(n^2) memory independent of the
-trajectory count) in a fixed chunk order.
+SeedSequence((seed, trajectory index)). Hashing the pair, rather than
+combining seed and index into one integer, keeps the streams of different
+seeds apart. Moments are accumulated streaming (one pass, O(n^2) memory
+independent of the trajectory count) in a fixed chunk order.
+
+The step is linear, so a panel of S steps is one product: with
+M = (I - hL)^T acting on row states,
+
+    x <- x M^S + [xi_0 ... xi_{S-1}] K + beta h S 1,
+
+where block s of the stacked (S n, n) matrix K is sigma sqrt(h) M^(S-1-s).
+Panels end at every sample time and span at most PANEL_STEPS steps. K holds
+powers of I - hL, never the exact propagator, so the simulation stays an
+independent check of the covariance route.
 
 Chunks of CHUNK_TRAJECTORIES trajectories run in a process pool with one
 worker per chunk, up to the number of CPUs this process may use; a single
-chunk or a single worker runs in-process.
+chunk or a single worker runs in-process. Every chunk runs numpy's BLAS on
+one thread, in the pool and in-process alike. The chunk size, the panel
+length and that thread count fix every rounding, so runs split across any
+number of workers produce bit-identical moment sums.
 """
 
 from __future__ import annotations
@@ -29,13 +40,16 @@ import numpy as np
 from .certainty import ModelParams
 from .errors import StepCapError, UnstableStepError
 from .graph import WeightedDigraph, laplacian
+from .lazyscipy import numpy_blas_on_one_thread, single_thread_numpy_blas
 
 # the chunk size is part of the deterministic-merge contract: chunk sums are
 # merged in chunk order, so results do not depend on the worker count
 CHUNK_TRAJECTORIES = 1024
-# steps of noise drawn per generator call; each trajectory's stream is read in
-# order whatever the panel length, so it sets memory (batch x panel x n
-# doubles per chunk), not results
+# longest panel, in steps. It is part of the determinism contract too: each
+# trajectory's stream is read in the same order whatever the panel length, but
+# the panel length sets the summation order of each panel's product, so
+# results move at roundoff with it. It also sets memory: batch x panel x n
+# doubles of noise and a panel x n x n stack per chunk.
 PANEL_STEPS = 250
 # Euler steps per trajectory above which a configuration is refused: nothing
 # is reported until every step is done, and at 1e8 steps one chunk of
@@ -129,45 +143,63 @@ class MomentValidation:
     warnings: tuple[str, ...]
 
 
+def _panel_operator(step_matrix_t: np.ndarray, span: int,
+                    noise_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stack K and the power M^span that advance a panel of `span` steps.
+
+    Block s of K, rows s*n .. s*n + n - 1, is sigma sqrt(h) M^(span - 1 - s),
+    so a panel's normals, laid out step by step in one row per trajectory,
+    enter through one product (module docstring).
+    """
+    n = step_matrix_t.shape[0]
+    stack = np.empty((span, n, n))
+    power = np.eye(n)
+    for s in range(span - 1, -1, -1):
+        stack[s] = power
+        power = power @ step_matrix_t
+    stack *= noise_scale
+    return stack.reshape(span * n, n), power
+
+
 def _simulate_chunk(lap: np.ndarray, cfg: SimConfig, lo: int, hi: int,
                     sample_steps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Moment sums over trajectories [lo, hi); pure function of its arguments."""
+    """Moment sums over trajectories [lo, hi); pure function of its arguments.
+
+    Panels end at every sample step and span at most PANEL_STEPS steps; each
+    advances the whole batch with one product against `_panel_operator`,
+    built once per distinct span.
+    """
     n = lap.shape[0]
     batch = hi - lo
     h = cfg.step
     drift = cfg.params.beta * h
     noise_scale = cfg.params.sigma * math.sqrt(h)
     step_matrix_t = (np.eye(n) - h * lap).T
-    sample_lookup = {s: i for i, s in enumerate(sample_steps)}
+    operators: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     gens = [np.random.Generator(np.random.SFC64(np.random.SeedSequence((cfg.seed, i))))
             for i in range(lo, hi)]
     sums = np.zeros((len(sample_steps), n))
     outers = np.zeros((len(sample_steps), n, n))
     x = np.zeros((batch, n))
-    y = np.empty((batch, n))
-    noise = np.empty((batch, PANEL_STEPS, n))
-    total = cfg.total_steps
-    if 0 in sample_lookup:  # t = 0 is a valid grid point
-        idx = sample_lookup[0]
-        outers[idx] += x.T @ x  # zeros; mean/cov at t=0 are exactly zero
+    # one row per trajectory; a shorter panel uses the leading columns, a
+    # strided view that the product reads without a copy
+    noise = np.empty((batch, min(PANEL_STEPS, cfg.total_steps) * n))
     done = 0
-    while done < total:
-        span = min(PANEL_STEPS, total - done)
-        for b, gen in enumerate(gens):
-            gen.standard_normal(out=noise[b, :span])
-        panel = noise[:, :span]
-        panel *= noise_scale
-        panel += drift
-        for s in range(span):
-            np.matmul(x, step_matrix_t, out=y)
-            y += panel[:, s]
-            x, y = y, x
-            idx = sample_lookup.get(done + s + 1)
-            if idx is not None:
-                sums[idx] += x.sum(axis=0)
-                outers[idx] += x.T @ x
-        done += span
+    for idx in sorted(range(len(sample_steps)), key=sample_steps.__getitem__):
+        while done < sample_steps[idx]:
+            span = min(PANEL_STEPS, sample_steps[idx] - done)
+            width = span * n
+            for b, gen in enumerate(gens):
+                gen.standard_normal(out=noise[b, :width])
+            if span not in operators:
+                operators[span] = _panel_operator(step_matrix_t, span, noise_scale)
+            stack, power = operators[span]
+            x = x @ power + noise[:, :width] @ stack
+            x += drift * span  # M's columns sum to 1: the drift row passes each step unchanged
+            done += span
+        sums[idx] += x.sum(axis=0)  # a t = 0 sample adds the zero state
+        outers[idx] += x.T @ x
     return sums, outers
 
 
@@ -203,14 +235,19 @@ def simulate_ensemble(g: WeightedDigraph, cfg: SimConfig, workers: int | None = 
     outers = np.zeros((len(sample_steps), g.n, g.n))
     workers = _worker_count(workers, len(bounds))
     if workers == 1:
-        results = (_simulate_chunk(lap, cfg, lo, hi, sample_steps) for lo, hi in bounds)
-        for s, o in results:
-            sums += s
-            outers += o
+        # one BLAS thread, as in the pool workers: the panel products' bits
+        # depend on the thread count
+        with numpy_blas_on_one_thread():
+            for lo, hi in bounds:
+                s, o = _simulate_chunk(lap, cfg, lo, hi, sample_steps)
+                sums += s
+                outers += o
     else:
         # the platform's default start method: where it is fork, workers reuse
-        # the parent's numpy/scipy imports instead of paying for them again
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the parent's numpy/scipy imports instead of paying for them again.
+        # The workers fill the CPUs between them, so each runs numpy's BLAS
+        # on one thread for good; this process keeps its pool.
+        with ProcessPoolExecutor(max_workers=workers, initializer=single_thread_numpy_blas) as pool:
             futures = [pool.submit(_simulate_chunk, lap, cfg, lo, hi, sample_steps)
                        for lo, hi in bounds]
             for fut in futures:  # merge strictly in chunk order

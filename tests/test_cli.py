@@ -435,17 +435,17 @@ class TestBlasThreads:
         before = openblas_threads()
         if len(before) < 2:
             pytest.skip("numpy and scipy share one BLAS here")
-        scipy_path = lazyscipy._scipy_openblas()._name
+        scipy_path = lazyscipy._wheel_openblas("scipy")._name
         assert run_cli("family", "complete:4:1", capsys=capsys)[0] == 0
         after = openblas_threads()
         assert after.pop(scipy_path) == 1
         assert after == {path: n for path, n in before.items() if path != scipy_path}
 
     def test_does_nothing_when_no_scipy_copy_is_found(self, fresh_blas_setting, monkeypatch, capsys):
-        setter = getattr(lazyscipy._scipy_openblas(), "scipy_openblas_set_num_threads", None)
+        setter = getattr(lazyscipy._wheel_openblas("scipy"), "scipy_openblas_set_num_threads", None)
         if setter is not None:  # undo an earlier main(), so that a setting made now would show
             setter(2)
-        monkeypatch.setattr(lazyscipy, "_scipy_openblas", lambda: None)
+        monkeypatch.setattr(lazyscipy, "_wheel_openblas", lambda package: None)
         before = openblas_threads()
         assert run_cli("family", "complete:4:1", capsys=capsys)[0] == 0
         assert openblas_threads() == before

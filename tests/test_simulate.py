@@ -1,9 +1,12 @@
+import ctypes
+import functools
 import math
 import os
 
 import numpy as np
 import pytest
 
+import ddmnet.lazyscipy as lazyscipy
 import ddmnet.simulate as simulate_module
 from ddmnet import (
     ModelParams,
@@ -27,6 +30,39 @@ def single_node():
 
 def imploding_star(n):
     return build_graph(n, [(k, 1, 1.0) for k in range(2, n + 1)])
+
+
+def step_loop_sums(g, cfg):
+    """Moment sums of plain per-step Euler-Maruyama on the simulator's streams.
+
+    The reference for the blocked panels: one product per step, drift and
+    scaled noise added each step, each trajectory reading n normals per step
+    from its own SFC64 stream.
+    """
+    lap = laplacian(g)
+    h = cfg.step
+    step_matrix_t = (np.eye(g.n) - h * lap).T
+    gens = [np.random.Generator(np.random.SFC64(np.random.SeedSequence((cfg.seed, i))))
+            for i in range(cfg.trajectories)]
+    sample_steps = [cfg.step_index(t) for t in cfg.sample_times]
+    sums = np.zeros((len(sample_steps), g.n))
+    outers = np.zeros((len(sample_steps), g.n, g.n))
+    x = np.zeros((cfg.trajectories, g.n))
+    for step in range(cfg.total_steps + 1):
+        if step > 0:
+            noise = np.array([gen.standard_normal(g.n) for gen in gens])
+            x = x @ step_matrix_t + cfg.params.beta * h + cfg.params.sigma * math.sqrt(h) * noise
+        for idx, s in enumerate(sample_steps):
+            if s == step:
+                sums[idx] += x.sum(axis=0)
+                outers[idx] += x.T @ x
+    return sums, outers
+
+
+def assert_close_per_sample(blocked, loop, rtol):
+    """Each sample time's sums agree to rtol relative to their largest entry."""
+    for b, ref in zip(blocked, loop):
+        assert np.abs(b - ref).max() <= rtol * np.abs(ref).max()
 
 
 class TestConfig:
@@ -87,17 +123,41 @@ class TestDeterminism:
             assert np.array_equal(serial.sums, parallel.sums)
             assert np.array_equal(serial.outers, parallel.outers)
 
-    def test_panel_length_does_not_change_results(self, benchmark_graph, monkeypatch):
-        # two chunks, 600 steps: panels of 7 and 250 split the run, 1000 does not
-        cfg = SimConfig(PARAMS, t_max=0.6, step=1e-3, trajectories=1100, seed=3,
-                        sample_times=(0.007, 0.25, 0.6))
-        runs = []
-        for panel in (1000, 250, 7):
-            monkeypatch.setattr(simulate_module, "PANEL_STEPS", panel)
-            runs.append(simulate_ensemble(benchmark_graph, cfg, workers=1))
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].sums, other.sums)
-            assert np.array_equal(runs[0].outers, other.outers)
+    def test_worker_count_does_not_change_full_panels(self, benchmark_graph):
+        # 250-step panels make the products' inner dimension 1250, long
+        # enough for OpenBLAS to round it differently on one thread and on
+        # several; the in-process run must match the one-thread pool workers
+        cfg = SimConfig(PARAMS, t_max=0.5, step=1e-3, trajectories=2100, seed=8,
+                        sample_times=(0.5,))
+        serial = simulate_ensemble(benchmark_graph, cfg, workers=1)
+        parallel = simulate_ensemble(benchmark_graph, cfg, workers=2)
+        assert np.array_equal(serial.sums, parallel.sums)
+        assert np.array_equal(serial.outers, parallel.outers)
+
+    @pytest.mark.parametrize("panel", [7, 250, 1000])
+    @pytest.mark.parametrize("case", ["benchmark", "single_node", "n_above_batch"])
+    def test_blocked_panels_match_the_step_loop(self, benchmark_graph, monkeypatch, panel, case):
+        # the panel length sets the summation order of each panel's product,
+        # so results move at roundoff with it; against the plain step loop on
+        # the same streams they agree to 1e-12. Sample steps cut spans short
+        # (7, 243, ...), t = 0 is sampled, and panels of 1000 cover each span
+        # between samples whole.
+        graph, step, trajectories = {
+            "benchmark": (benchmark_graph, 1e-3, 40),
+            "single_node": (single_node(), 1e-3, 3),
+            "n_above_batch": (build_graph(12, [(k, k % 12 + 1, 1.0 + k / 10) for k in range(1, 13)]
+                                      + [(k, (k + 4) % 12 + 1, 0.5) for k in range(1, 13, 3)]),
+                          1e-2, 5),
+        }[case]
+        times = tuple(step * s for s in (0, 7, 250, 600))
+        cfg = SimConfig(PARAMS, t_max=times[-1], step=step, trajectories=trajectories, seed=3,
+                        sample_times=times)
+        monkeypatch.setattr(simulate_module, "PANEL_STEPS", panel)
+        blocked = simulate_ensemble(graph, cfg, workers=1)
+        sums, outers = step_loop_sums(graph, cfg)
+        assert np.all(blocked.sums[0] == 0.0) and np.all(blocked.outers[0] == 0.0)
+        assert_close_per_sample(blocked.sums, sums, 1e-12)
+        assert_close_per_sample(blocked.outers, outers, 1e-12)
 
     def test_seeds_below_the_trajectory_count_draw_distinct_streams(self, benchmark_graph):
         # a stream key that mixes seed and trajectory index into one integer
@@ -116,6 +176,48 @@ class TestDeterminism:
         a = simulate_ensemble(benchmark_graph, cfg_a)
         b = simulate_ensemble(benchmark_graph, cfg_b)
         assert not np.array_equal(a.sums, b.sums)
+
+
+def numpy_blas_threads() -> int | None:
+    """Thread count of numpy's own OpenBLAS copy, or None where none is mapped."""
+    lib = lazyscipy._wheel_openblas("numpy")
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            return fn()
+    return None
+
+
+REAL_CHUNK = simulate_module._simulate_chunk
+
+
+def chunk_recording_blas_threads(out_dir, *args):
+    """`_simulate_chunk` that first writes numpy's BLAS thread count to out_dir/<pid>."""
+    (out_dir / str(os.getpid())).write_text(str(numpy_blas_threads()))
+    return REAL_CHUNK(*args)
+
+
+class TestBlasThreads:
+    def test_chunks_run_numpy_blas_on_one_thread_and_the_caller_keeps_its_pool(
+            self, benchmark_graph, monkeypatch, tmp_path):
+        before = numpy_blas_threads()
+        if before is None:
+            pytest.skip("no numpy-bundled OpenBLAS is mapped here")
+        monkeypatch.setattr(simulate_module, "_simulate_chunk",
+                            functools.partial(chunk_recording_blas_threads, tmp_path))
+        # 3 chunks on 2 pool workers, then the same run in this process
+        cfg = SimConfig(PARAMS, t_max=0.1, step=0.01, trajectories=2100, seed=5, sample_times=(0.1,))
+        pooled = simulate_ensemble(benchmark_graph, cfg, workers=2)
+        workers = {p.name: int(p.read_text()) for p in tmp_path.iterdir()}
+        assert workers and str(os.getpid()) not in workers
+        assert set(workers.values()) == {1}
+        assert numpy_blas_threads() == before
+        serial = simulate_ensemble(benchmark_graph, cfg, workers=1)
+        assert int((tmp_path / str(os.getpid())).read_text()) == 1
+        assert numpy_blas_threads() == before
+        assert np.array_equal(pooled.outers, serial.outers)
 
 
 class TestWorkerCount:
