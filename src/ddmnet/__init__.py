@@ -26,7 +26,6 @@ from .certainty import (
     certainty_spectral,
     covariance_curves,
     dispersion_summary,
-    mirror_group_inverse,
     propagator,
     spectral_decompose,
     variance_envelope,

@@ -2,10 +2,10 @@
 
 Information centrality aggregates *all* simple paths between a pair of
 nodes, not only geodesics: the pairwise information I_kj is the inverse of
-the combined-path length and is computed from C = (L + 11^T)^{-1} as
-I_kj = (c_kk + c_jj - 2 c_kj)^{-1}. The module also carries a brute-force
-path-enumeration oracle for small graphs, and the bridge from information
-centrality back to the node certainty index.
+the combined-path length, I_kj = (x_kk + x_jj - 2 x_kj)^{-1} with X the
+group inverse of L, all from one Cholesky factorization. The module also
+carries a brute-force path-enumeration oracle for small graphs, and the
+bridge from information centrality back to the node certainty index.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ import numpy as np
 from .certainty import CertaintyReport, ModelParams, _report_from_inv_mu
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
+    DdmnetError,
     DisconnectedGraphError,
     GraphValidationError,
     OverlapMatrixSingularError,
     PathCapExceededError,
 )
-from .graph import WeightedDigraph, laplacian
+from .graph import WeightedDigraph, strongly_connected
 
 
 def _require_undirected(g: WeightedDigraph) -> None:
@@ -55,36 +56,67 @@ def geodesic_closeness(g: WeightedDigraph) -> tuple[np.ndarray, tuple[float, ...
 
 @dataclass(frozen=True, eq=False)
 class InformationMatrix:
-    """C = (L + 11^T)^{-1}, pairwise information, and pairwise resistance distances.
+    """The solve basis of a connected undirected graph and what it yields.
 
-    information[k, j] = I_kj (diagonal inf); resistance[k, j] = 1 / I_kj with a
-    zero diagonal, which is exactly the effective-resistance distance.
+    x is the group inverse X of the Laplacian; information[k, j] = I_kj
+    (diagonal inf); resistance[k, j] = 1 / I_kj = X_kk + X_jj - 2 X_kj with a
+    zero diagonal, which is exactly the effective-resistance distance;
+    kirchhoff_index = n tr X is the sum of the resistances over node pairs.
     """
 
-    c: np.ndarray
+    x: np.ndarray
     information: np.ndarray
     resistance: np.ndarray
+    kirchhoff_index: float
 
 
-def information_matrix(lap_mirror: np.ndarray) -> InformationMatrix:
-    """Pairwise information of a connected undirected graph from its Laplacian."""
-    lap_mirror = np.asarray(lap_mirror, dtype=float)
-    n = lap_mirror.shape[0]
-    scale = max(1.0, float(np.abs(lap_mirror).max()))
-    if float(np.abs(lap_mirror - lap_mirror.T).max()) > 1e-12 * scale:
+def information_matrix(lap_mirror: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> InformationMatrix:
+    """The solve basis of a connected undirected graph's Laplacian L.
+
+    With s = tr(L) / n^2, the mean weighted degree over n, L + s 11^T is
+    positive definite and puts the filled null mode at the mean degree,
+    inside L's spectrum at any weight scale. One Cholesky factorization
+    inverts it to C_s = X + 11^T / (s n^2), which gives the group inverse X;
+    the axioms L X L = L, X L X = X, L X = X L are asserted. Connectivity is
+    decided on the pattern of L, since the factorization can succeed on a
+    disconnected graph.
+    """
+    lap = np.asarray(lap_mirror, dtype=float)
+    n = lap.shape[0]
+    scale = float(np.abs(lap).max(initial=0.0))
+    if float(np.abs(lap - lap.T).max(initial=0.0)) > 1e-12 * scale:
         raise GraphValidationError("Laplacian must be symmetric")
-    eigvals = np.linalg.eigvalsh(lap_mirror)
-    if n > 1 and eigvals[1] <= 1e-10 * max(1.0, eigvals[-1]):
-        raise DisconnectedGraphError("singular information matrix: graph is disconnected")
-    c = np.linalg.inv(lap_mirror + np.ones((n, n)))
-    c = (c + c.T) / 2.0
-    diag = np.diag(c)
-    resistance = diag[:, None] + diag[None, :] - 2.0 * c
+    if not strongly_connected(n, *np.nonzero(lap)):  # self-arcs k -> k reach nothing new
+        raise DisconnectedGraphError("mirror graph is disconnected")
+    s = float(np.trace(lap)) / n**2 or 1.0  # a single node has L = 0
+    try:
+        factor_inv = np.linalg.inv(np.linalg.cholesky(lap + s))
+    except np.linalg.LinAlgError:
+        factor_inv = np.full((n, n), math.nan)
+    x = factor_inv.T @ factor_inv - 1.0 / (s * n**2)
+    x = (x + x.T) / 2.0
+    rtol = tol.group_inverse_rtol
+    x_scale = float(np.abs(x).max())
+    lx = lap @ x
+    # the graph is connected here: a failure means the weights' range defeats double precision
+    if not (
+        np.all(np.isfinite(x))
+        and float(np.abs(lx @ lap - lap).max()) <= rtol * scale
+        and float(np.abs(x @ lx - x).max()) <= rtol * x_scale
+        and float(np.abs(lx - x @ lap).max()) <= rtol * scale * x_scale
+    ):
+        weights = -lap[lap < 0.0]
+        raise DdmnetError("cannot factor the mirror Laplacian in double precision: edge weights "
+                          f"lie in [{weights.min():.3g}, {weights.max():.3g}]")
+
+    diag = np.diag(x)
+    resistance = diag[:, None] + diag[None, :] - 2.0 * x
     np.fill_diagonal(resistance, 0.0)
     with np.errstate(divide="ignore"):
         information = np.where(resistance > 0, 1.0 / np.where(resistance > 0, resistance, 1.0), math.inf)
     np.fill_diagonal(information, math.inf)
-    return InformationMatrix(c=c, information=information, resistance=resistance)
+    return InformationMatrix(x=x, information=information, resistance=resistance,
+                             kirchhoff_index=n * float(np.trace(x)))
 
 
 @dataclass(frozen=True)
@@ -120,26 +152,27 @@ def rank_nodes(scores: tuple[float, ...] | list[float] | np.ndarray,
                tie_decimals: int = DEFAULT_TOL.rank_decimals) -> tuple[int, ...]:
     """Node order by descending score; ties break by ascending node index.
 
-    Scores are rounded to `tie_decimals` decimals first so that exact
-    mathematical ties perturbed by float noise collapse back into ties and
-    break identically no matter which route produced the scores. Infinite
-    scores sort first.
+    Scores are divided by 2^e <= max finite |score| < 2^(e+1), which is
+    exact, and rounded to `tie_decimals` decimals, so that exact mathematical
+    ties perturbed by float noise collapse back into ties and break
+    identically whichever route produced the scores, at any weight scale.
+    Infinite scores sort first.
     """
     arr = np.asarray(scores, dtype=float)
-    rounded = np.round(arr, tie_decimals)
+    top = float(np.abs(arr[np.isfinite(arr)]).max(initial=0.0))
+    rounded = np.round(np.ldexp(arr, 1 - math.frexp(top)[1]), tie_decimals)
     order = sorted(range(len(rounded)), key=lambda k: (-rounded[k], k))
     return tuple(k + 1 for k in order)
 
 
-def information_scores(lap_mirror: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Harmonic and arithmetic information centrality from the mirror Laplacian.
+def information_scores(info: InformationMatrix) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Harmonic and arithmetic information centrality from the mirror's solve basis.
 
     The harmonic score inverts the mean combined-path distance 1/I_kj (the
     self-term is 0, mirroring the closeness convention); the arithmetic score
     averages I_kj itself over the other nodes.
     """
-    info = information_matrix(lap_mirror)
-    n = info.c.shape[0]
+    n = info.x.shape[0]
     mean_resistance = info.resistance.sum(axis=1) / n
     harmonic = tuple(math.inf if m == 0.0 else float(1.0 / m) for m in mean_resistance)
     if n == 1:
@@ -149,16 +182,16 @@ def information_scores(lap_mirror: np.ndarray) -> tuple[tuple[float, ...], tuple
     return harmonic, tuple(float(v) for v in off.sum(axis=1) / (n - 1))
 
 
-def information_centrality(g: WeightedDigraph, variant: str = "harmonic",
+def information_centrality(g: WeightedDigraph, info: InformationMatrix, variant: str = "harmonic",
                            tol: Tolerances = DEFAULT_TOL) -> CentralityReport:
     """Full centrality report for a connected undirected graph: geodesic
-    closeness next to both `information_scores`; `variant` selects which
-    score orders the ranking.
+    closeness next to both `information_scores` of `info`, the solve basis
+    of g; `variant` selects which score orders the ranking.
     """
     if variant not in ("harmonic", "arithmetic"):
         raise ValueError(f"unknown variant {variant!r}; expected 'harmonic' or 'arithmetic'")
     _, closeness = geodesic_closeness(g)  # rejects a directed graph
-    harmonic, arithmetic = information_scores(laplacian(g))
+    harmonic, arithmetic = information_scores(info)
     scores = harmonic if variant == "harmonic" else arithmetic
     return CentralityReport(
         closeness=closeness,

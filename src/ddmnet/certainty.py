@@ -8,8 +8,10 @@ inverse of the asymptotic excess of its variance over that floor:
 
 over the nonzero Laplacian eigenpairs. The same quantity equals
 (sigma^2 / 2) times the corresponding diagonal entry of the group inverse of
-the mirror graph's Laplacian, which is the second, independently computed
-route implemented here.
+the mirror graph's Laplacian, the second, independently computed route:
+`certainty_group_inverse` reads X off the Cholesky solve basis of
+`centrality.information_matrix`, and shares no factorization with the
+spectral route's `spectral_decompose`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DisconnectedGraphError, GraphValidationError, NotNormalError, NotStronglyConnectedError
+from .errors import GraphValidationError, NotNormalError, NotStronglyConnectedError
 from .graph import is_normal, normality_residual, strongly_connected
 from .lazyscipy import scipy_linalg
 
@@ -183,40 +185,9 @@ def certainty_spectral(data: SpectralData, params: ModelParams) -> CertaintyRepo
     return _report_from_inv_mu(inv_mu, "spectral", kirchhoff, params.sigma)
 
 
-def mirror_group_inverse(lap_mirror: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Group inverse of a connected undirected graph's Laplacian.
-
-    For a symmetric Laplacian the group inverse coincides with the
-    Moore-Penrose pseudoinverse; it is built here from the symmetric
-    eigendecomposition with the null mode excluded, and the defining axioms
-    (P X P = P, X P X = X, P X = X P) are asserted afterwards.
-    """
-    lap_mirror = np.asarray(lap_mirror, dtype=float)
-    n = lap_mirror.shape[0]
-    scale = max(1.0, float(np.abs(lap_mirror).max()))
-    if float(np.abs(lap_mirror - lap_mirror.T).max()) > 1e-12 * scale:
-        raise GraphValidationError("mirror Laplacian must be symmetric")
-    eigvals, vecs = np.linalg.eigh(lap_mirror)
-    if n > 1 and eigvals[1] <= 1e-10 * max(1.0, eigvals[-1]):
-        raise DisconnectedGraphError("zero eigenvalue is not simple: mirror graph is disconnected")
-    inv = np.zeros(n)
-    inv[1:] = 1.0 / eigvals[1:]
-    x = (vecs * inv) @ vecs.T
-    x = (x + x.T) / 2.0
-
-    rtol = tol.group_inverse_rtol
-    x_scale = max(1.0, float(np.abs(x).max()))
-    if (
-        float(np.abs(lap_mirror @ x @ lap_mirror - lap_mirror).max()) > rtol * scale
-        or float(np.abs(x @ lap_mirror @ x - x).max()) > rtol * x_scale
-        or float(np.abs(lap_mirror @ x - x @ lap_mirror).max()) > rtol * max(1.0, scale * x_scale)
-    ):
-        raise DisconnectedGraphError("group-inverse axioms failed; Laplacian is defective")
-    return x
-
-
 def certainty_group_inverse(group_inv: np.ndarray, params: ModelParams) -> CertaintyReport:
-    """Certainty from the mirror group inverse: 1/mu_k = (sigma^2 / 2) X_kk."""
+    """Certainty from the mirror group inverse X (`InformationMatrix.x`):
+    1/mu_k = (sigma^2 / 2) X_kk."""
     diag = np.diag(np.asarray(group_inv, dtype=float)).copy()
     n = diag.shape[0]
     inv_mu = params.sigma**2 / 2.0 * diag
@@ -346,14 +317,11 @@ class DispersionSummary:
     identity_residual: float
 
 
-def dispersion_summary(report: CertaintyReport, lap_mirror: np.ndarray) -> DispersionSummary:
-    """Check sum_k 1/mu_k == sigma^2 K_f / (2n) against the mirror spectrum."""
-    lap_mirror = np.asarray(lap_mirror, dtype=float)
-    n = lap_mirror.shape[0]
-    eigvals = np.linalg.eigvalsh(lap_mirror)
-    if n > 1 and eigvals[1] <= 1e-10 * max(1.0, eigvals[-1]):
-        raise DisconnectedGraphError("mirror graph is disconnected")
-    kirchhoff = n * float((1.0 / eigvals[1:]).sum()) if n > 1 else 0.0
+def dispersion_summary(report: CertaintyReport, kirchhoff_index: float) -> DispersionSummary:
+    """Check sum_k 1/mu_k == sigma^2 K_f / (2n), with K_f the mirror's Kirchhoff
+    index (`InformationMatrix.kirchhoff_index`)."""
+    n = len(report.inv_mu)
     total = report.total_dispersion
-    residual = abs(total - report.sigma**2 * kirchhoff / (2.0 * n))
-    return DispersionSummary(kirchhoff_index=kirchhoff, total_dispersion=total, identity_residual=residual)
+    residual = abs(total - report.sigma**2 * kirchhoff_index / (2.0 * n))
+    return DispersionSummary(kirchhoff_index=float(kirchhoff_index), total_dispersion=total,
+                             identity_residual=residual)

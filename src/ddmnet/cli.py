@@ -22,6 +22,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from itertools import chain, repeat
 
 import numpy as np
@@ -43,7 +44,6 @@ from .certainty import (
     certainty_spectral,
     covariance_curves,
     dispersion_summary,
-    mirror_group_inverse,
     spectral_decompose,
     variance_envelope,
 )
@@ -191,38 +191,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = {"graph_file": args.graph, "sigma": args.sigma, "beta": args.beta,
               "format": args.format, "t_max": args.t_max, "t_step": args.t_step}
     report = _base_report("analyze", config, g, profile)
-    lap = laplacian(g)
-    mirror = mirror_graph(g)
-    lap_mirror = laplacian(mirror)
 
     routes: dict[str, dict] = {}
     csv_rows: list[dict] = []
-    eligible = profile.normal_laplacian and profile.strongly_connected
-    why_not = ("Laplacian is not normal" if not profile.normal_laplacian
-               else "graph is not strongly connected")
-    reference: CertaintyReport | None = None
-    if eligible:
-        spectral = certainty_spectral(spectral_decompose(lap), params)
-        group = certainty_group_inverse(mirror_group_inverse(lap_mirror), params)
-        info_harmonic, _ = information_scores(lap_mirror)
-        bridge = certainty_via_centrality(info_harmonic, group.kirchhoff_index, params, g.n)
-        reference = spectral
+    if profile.normal_laplacian and profile.strongly_connected:
+        # two factorizations: L's eigenvectors, and the mirror's solve basis for the rest
+        spectral = certainty_spectral(spectral_decompose(laplacian(g)), params)
+        info = information_matrix(laplacian(mirror_graph(g)))
+        group = certainty_group_inverse(info.x, params)
+        info_harmonic, _ = information_scores(info)
+        bridge = certainty_via_centrality(info_harmonic, info.kirchhoff_index, params, g.n)
         for rep in (spectral, group, bridge):
             routes[rep.route] = _route_entry(rep)
             csv_rows.extend(rep.to_rows())
+        report["dispersion"] = asdict(dispersion_summary(spectral, info.kirchhoff_index))
     else:
+        why_not = ("Laplacian is not normal" if not profile.normal_laplacian
+                   else "graph is not strongly connected")
         msg = f"certainty index undefined: {why_not}"
         for name in ("spectral", "group-inverse", "info-centrality"):
             routes[name] = _route_entry(msg)
     report["routes"] = routes
-
-    if reference is not None:
-        disp = dispersion_summary(reference, lap_mirror)
-        report["dispersion"] = {
-            "kirchhoff_index": disp.kirchhoff_index,
-            "total_dispersion": disp.total_dispersion,
-            "identity_residual": disp.identity_residual,
-        }
     report["csv_rows"] = csv_rows
     report["csv_fields"] = ["node", "mu", "inv_mu", "route"]
     if args.format == "curves":
@@ -237,7 +226,8 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     config = {"graph_file": args.graph, "variant": args.variant, "oracle_cap": args.oracle_cap,
               "format": args.format}
     report = _base_report("centrality", config, g)
-    cent = information_centrality(mirror, args.variant)
+    info = information_matrix(laplacian(mirror))
+    cent = information_centrality(mirror, info, args.variant)
     report["centrality"] = {
         "rows": cent.to_rows(),
         "ranking": list(cent.ranking),
@@ -246,7 +236,6 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     report["csv_rows"] = cent.to_rows()
     report["csv_fields"] = ["node", "closeness", "info_harmonic", "info_arithmetic", "rank"]
     if mirror.n <= args.oracle_cap and mirror.n > 1:
-        info = information_matrix(laplacian(mirror))
         pairs = []
         try:
             for k in range(1, mirror.n + 1):

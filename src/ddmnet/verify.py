@@ -30,7 +30,6 @@ from .certainty import (
     certainty_group_inverse,
     certainty_spectral,
     dispersion_summary,
-    mirror_group_inverse,
     spectral_decompose,
     variance_envelope,
 )
@@ -123,11 +122,13 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
         why = "Laplacian not normal" if not profile.normal_laplacian else "not strongly connected"
         record("spectral-route", SKIP, f"{why}; certainty index undefined for this graph")
 
+    info = None  # the solve basis, shared by the routes and the path oracle
     if profile.strongly_connected and profile.normal_laplacian:
-        group_report = certainty_group_inverse(mirror_group_inverse(lap_mirror, tol), params)
-        info_harmonic, _ = information_scores(lap_mirror)
+        info = information_matrix(lap_mirror, tol)
+        group_report = certainty_group_inverse(info.x, params)
+        info_harmonic, _ = information_scores(info)
         centrality_report = certainty_via_centrality(
-            info_harmonic, group_report.kirchhoff_index, params, g.n)
+            info_harmonic, info.kirchhoff_index, params, g.n)
 
         gap_sg = max(_rel_gap(a, b) for a, b in zip(spectral_report.inv_mu, group_report.inv_mu))
         record("route-spectral-vs-group-inverse", PASS if gap_sg <= tol.route_agreement_rtol else FAIL,
@@ -135,6 +136,8 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
         gap_sc = max(_rel_gap(a, b) for a, b in zip(spectral_report.inv_mu, centrality_report.inv_mu))
         record("route-spectral-vs-centrality", PASS if gap_sc <= tol.route_agreement_rtol else FAIL,
                f"max per-node gap = {gap_sc:.2e}")
+        # both from one factorization: this checks the bridge formula
+        # 1/mu = (sigma^2 / 2) (1/kappa - K_f / n^2), not an independent route
         gap_gc = max(_rel_gap(a, b) for a, b in zip(group_report.inv_mu, centrality_report.inv_mu))
         record("route-group-inverse-vs-centrality", PASS if gap_gc <= tol.route_agreement_rtol else FAIL,
                f"max per-node gap = {gap_gc:.2e}")
@@ -144,7 +147,7 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
                 == rank_nodes(info_harmonic, tol.rank_decimals))
         record("ranking-certainty-vs-info-centrality", PASS if same else FAIL)
 
-        disp = dispersion_summary(spectral_report, lap_mirror)
+        disp = dispersion_summary(spectral_report, info.kirchhoff_index)
         if g.is_undirected():
             ok = disp.identity_residual <= 1e-9 * max(1.0, disp.total_dispersion)
             record("dispersion-kirchhoff-identity", PASS if ok else FAIL,
@@ -219,7 +222,8 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
                "mirror graph is disconnected; pairwise information is undefined")
     else:
         try:
-            info = information_matrix(lap_mirror)
+            if info is None:
+                info = information_matrix(lap_mirror, tol)
             worst_pair = 0.0
             naive_deviations = []
             for k in range(1, mirror.n + 1):

@@ -12,7 +12,14 @@ import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from ddmnet import WeightedDigraph, build_graph, five_node_benchmark
+from ddmnet import (
+    WeightedDigraph,
+    build_graph,
+    five_node_benchmark,
+    information_centrality,
+    information_matrix,
+    laplacian,
+)
 
 # --- acceptance summary -------------------------------------------------
 
@@ -73,6 +80,11 @@ def closeness_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(ddmnet.centrality, "geodesic_closeness", counting)
     return calls
+
+
+def centrality_report(g: WeightedDigraph, variant: str = "harmonic"):
+    """information_centrality of g on the solve basis of g's own Laplacian."""
+    return information_centrality(g, information_matrix(laplacian(g)), variant)
 
 
 # --- independent oracles ---------------------------------------------------

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, random_tree, record_acceptance
+from conftest import centrality_report, random_connected_graph, random_tree, record_acceptance
 from ddmnet import (
     FamilySpec,
     ModelParams,
@@ -35,12 +35,10 @@ from ddmnet import (
     enumerate_combined_paths,
     five_node_benchmark,
     geodesic_closeness,
-    information_centrality,
     information_matrix,
     laplacian,
     make_family,
     mirror_graph,
-    mirror_group_inverse,
     rank_nodes,
     simulate_ensemble,
     spectral_decompose,
@@ -108,7 +106,7 @@ def test_criterion_2_centrality_certainty_identity():
             g = random_connected_graph(rng, n, w_lo=0.5, w_hi=2.0)
             lap = laplacian(g)
             spectral = certainty_spectral(spectral_decompose(lap), PARAMS)
-            cent = information_centrality(g)
+            cent = centrality_report(g)
             bridge = certainty_via_centrality(cent.info_harmonic, spectral.kirchhoff_index,
                                               PARAMS, n)
             gap = max(abs(a - b) for a, b in zip(spectral.inv_mu, bridge.inv_mu))
@@ -132,8 +130,8 @@ def test_criterion_3_route_triangle():
             lap = laplacian(g)
             spectral = certainty_spectral(spectral_decompose(lap), PARAMS)
             mirror_lap = (lap + lap.T) / 2.0
-            group = certainty_group_inverse(mirror_group_inverse(mirror_lap), PARAMS)
-            cent = information_centrality(mirror_graph(g))
+            group = certainty_group_inverse(information_matrix(mirror_lap).x, PARAMS)
+            cent = centrality_report(mirror_graph(g))
             bridge = certainty_via_centrality(cent.info_harmonic, group.kirchhoff_index,
                                               PARAMS, g.n)
             for a, b in ((spectral, group), (spectral, bridge), (group, bridge)):
@@ -190,7 +188,7 @@ def test_criterion_6_path_oracle_and_tree_equivalence():
                 for j in range(k + 1, g.n + 1):
                     _, oracle = enumerate_combined_paths(g, k, j)
                     assert abs(oracle - info.information[k - 1, j - 1]) <= 1e-6
-            rep = information_centrality(g)
+            rep = centrality_report(g)
             assert np.abs(np.asarray(rep.info_harmonic) - np.asarray(rep.closeness)).max() <= 1e-9
         bench = five_node_benchmark()
         info = information_matrix(laplacian(bench))
@@ -206,7 +204,7 @@ def test_criterion_7_monte_carlo_validation():
         g = five_node_benchmark()
         lap = laplacian(g)
         spectral = certainty_spectral(spectral_decompose(lap), PARAMS)
-        group = certainty_group_inverse(mirror_group_inverse(lap), PARAMS)
+        group = certainty_group_inverse(information_matrix(lap).x, PARAMS)
 
         # variance and mean gates at the mandated step
         cfg_a = SimConfig(PARAMS, t_max=5.0, step=1e-3, trajectories=100_000, seed=20240601,
@@ -278,8 +276,8 @@ def test_criterion_9_centrality_variant_ranking_flip():
     """The two information-centrality variants order v4 and v5 oppositely."""
     with criterion("9 harmonic vs arithmetic ranking of v4/v5", 1.0):
         g = five_node_benchmark()
-        harmonic = information_centrality(g, "harmonic")
-        arithmetic = information_centrality(g, "arithmetic")
+        harmonic = centrality_report(g, "harmonic")
+        arithmetic = centrality_report(g, "arithmetic")
         assert harmonic.ranking.index(4) < harmonic.ranking.index(5)
         assert arithmetic.ranking.index(5) < arithmetic.ranking.index(4)
 

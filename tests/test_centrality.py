@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, random_tree
+from conftest import centrality_report, random_connected_graph, random_tree
 from ddmnet import (
     DisconnectedGraphError,
     ModelParams,
@@ -16,11 +16,9 @@ from ddmnet import (
     certainty_via_centrality,
     enumerate_combined_paths,
     geodesic_closeness,
-    information_centrality,
     information_matrix,
     information_scores,
     laplacian,
-    mirror_group_inverse,
     naive_combined_information,
     rank_nodes,
     spectral_decompose,
@@ -109,7 +107,7 @@ class TestCloseness:
 class TestInformationMatrix:
     def test_two_node(self):
         info = information_matrix(laplacian(undirected(2, [(1, 2)])))
-        assert np.allclose(info.c, 0.5 * np.eye(2))
+        assert np.allclose(info.x + 1.0 / 2**2, 0.5 * np.eye(2))  # C = X + 11^T / n^2
         assert info.information[0, 1] == pytest.approx(1.0)
 
     def test_group_inverse_shift_identity(self):
@@ -118,8 +116,8 @@ class TestInformationMatrix:
             g = random_connected_graph(rng, int(rng.integers(2, 10)))
             lap = laplacian(g)
             info = information_matrix(lap)
-            x = mirror_group_inverse(lap)
-            gap = np.abs(info.c - x - np.ones((g.n, g.n)) / g.n**2).max()
+            x = np.linalg.pinv(lap)  # independent reference: an SVD, no Cholesky
+            gap = np.abs(info.x - x).max()
             assert gap < 1e-9
 
     def test_disconnected_raises(self):
@@ -135,7 +133,7 @@ class TestInformationMatrix:
 
 class TestInformationCentrality:
     def test_benchmark_harmonic_ordering(self, benchmark_graph):
-        rep = information_centrality(benchmark_graph, "harmonic")
+        rep = centrality_report(benchmark_graph, "harmonic")
         k = rep.info_harmonic
         assert k[0] == pytest.approx(k[1], abs=1e-12)
         assert k[2] == pytest.approx(k[3], abs=1e-12)
@@ -143,13 +141,13 @@ class TestInformationCentrality:
         assert rep.ranking == (1, 2, 3, 4, 5)
 
     def test_benchmark_arithmetic_flips_last_pair(self, benchmark_graph):
-        rep = information_centrality(benchmark_graph, "arithmetic")
+        rep = centrality_report(benchmark_graph, "arithmetic")
         a = rep.info_arithmetic
         assert a[4] > a[3]  # v5 above v4 under the arithmetic variant
         assert rep.ranking == (1, 2, 5, 3, 4)
 
     def test_exact_benchmark_values(self, benchmark_graph):
-        rep = information_centrality(benchmark_graph)
+        rep = centrality_report(benchmark_graph)
         assert rep.info_harmonic[0] == pytest.approx(55 / 31, abs=1e-12)
         assert rep.info_harmonic[2] == pytest.approx(55 / 39, abs=1e-12)
         assert rep.info_harmonic[4] == pytest.approx(11 / 8, abs=1e-12)
@@ -158,11 +156,11 @@ class TestInformationCentrality:
         rng = np.random.default_rng(21)
         for _ in range(10):
             g = random_tree(rng, int(rng.integers(2, 12)))
-            rep = information_centrality(g)
+            rep = centrality_report(g)
             assert np.allclose(rep.info_harmonic, rep.closeness, atol=1e-9, rtol=0)
 
     def test_single_node(self):
-        rep = information_centrality(build_graph(1, []))
+        rep = centrality_report(build_graph(1, []))
         assert rep.info_harmonic == (math.inf,)
         assert rep.ranking == (1,)
 
@@ -173,24 +171,24 @@ class TestInformationCentrality:
         mask = ~np.eye(5, dtype=bool)
         assert np.allclose(more.information[mask], 3.0 * base.information[mask], rtol=1e-12)
         for variant in ("harmonic", "arithmetic"):
-            assert (information_centrality(scaled, variant).ranking
-                    == information_centrality(benchmark_graph, variant).ranking)
-        assert (rank_nodes(information_centrality(scaled).closeness)
-                == rank_nodes(information_centrality(benchmark_graph).closeness))
+            assert (centrality_report(scaled, variant).ranking
+                    == centrality_report(benchmark_graph, variant).ranking)
+        assert (rank_nodes(centrality_report(scaled).closeness)
+                == rank_nodes(centrality_report(benchmark_graph).closeness))
 
     def test_scores_match_the_report_exactly(self):
         rng = np.random.default_rng(77)
         graphs = [build_graph(1, [])] + [random_connected_graph(rng, int(n)) for n in rng.integers(2, 30, 12)]
         for g in graphs:
-            harmonic, arithmetic = information_scores(laplacian(g))
+            harmonic, arithmetic = information_scores(information_matrix(laplacian(g)))
             for variant, scores in (("harmonic", harmonic), ("arithmetic", arithmetic)):
-                rep = information_centrality(g, variant)
+                rep = centrality_report(g, variant)
                 assert rep.info_harmonic == harmonic
                 assert rep.info_arithmetic == arithmetic
                 assert rep.ranking == rank_nodes(scores)
 
     def test_report_computes_closeness_once(self, benchmark_graph, closeness_calls):
-        information_centrality(benchmark_graph)
+        centrality_report(benchmark_graph)
         assert closeness_calls == [5]
 
 
@@ -198,7 +196,7 @@ class TestCertaintyBridge:
     def test_benchmark_matches_spectral(self, benchmark_graph):
         lap = laplacian(benchmark_graph)
         spectral = certainty_spectral(spectral_decompose(lap), PARAMS)
-        cent = information_centrality(benchmark_graph)
+        cent = centrality_report(benchmark_graph)
         bridge = certainty_via_centrality(cent.info_harmonic, spectral.kirchhoff_index, PARAMS, 5)
         assert bridge.route == "info-centrality"
         assert np.allclose(bridge.inv_mu, spectral.inv_mu, atol=1e-12)
@@ -210,7 +208,7 @@ class TestCertaintyBridge:
             g = random_connected_graph(rng, int(rng.integers(2, 13)))
             lap = laplacian(g)
             spectral = certainty_spectral(spectral_decompose(lap), PARAMS)
-            cent = information_centrality(g)
+            cent = centrality_report(g)
             bridge = certainty_via_centrality(cent.info_harmonic, spectral.kirchhoff_index, PARAMS, g.n)
             assert max(abs(a - b) for a, b in zip(bridge.inv_mu, spectral.inv_mu)) <= 1e-9
 
@@ -219,20 +217,20 @@ class TestCertaintyBridge:
         for _ in range(25):
             g = random_connected_graph(rng, int(rng.integers(2, 13)))
             spectral = certainty_spectral(spectral_decompose(laplacian(g)), PARAMS)
-            cent = information_centrality(g)
+            cent = centrality_report(g)
             assert rank_nodes(spectral.mu) == cent.ranking
 
     def test_star_center_certainty_from_bridge(self):
         g = undirected(3, [(1, 2), (1, 3)])
         spectral = certainty_spectral(spectral_decompose(laplacian(g)), PARAMS)
-        cent = information_centrality(g)
+        cent = centrality_report(g)
         bridge = certainty_via_centrality(cent.info_harmonic, spectral.kirchhoff_index, PARAMS, 3)
         assert bridge.mu[0] == pytest.approx(9.0, abs=1e-9)
 
     def test_equal_scores_on_complete_graph(self):
         pairs = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
         g = undirected(6, pairs)
-        cent = information_centrality(g)
+        cent = centrality_report(g)
         assert np.ptp(cent.info_harmonic) < 1e-12
         bridge = certainty_via_centrality(
             cent.info_harmonic,
@@ -324,6 +322,12 @@ class TestRankNodes:
 
     def test_float_noise_ties_collapse(self):
         assert rank_nodes((1.0 + 2e-13, 1.0, 1.0 - 2e-13)) == (1, 2, 3)
+
+    @pytest.mark.parametrize("scale", [2.0**-40, 1e-9, 1.0, 1e9, 2.0**40])
+    def test_rounding_is_relative_to_the_largest_score(self, scale):
+        assert rank_nodes((scale, 3.0 * scale, 2.0 * scale)) == (2, 3, 1)
+        assert rank_nodes((scale * (1.0 - 2e-13), scale, scale * (1.0 + 2e-13))) == (1, 2, 3)
+        assert rank_nodes((scale, math.inf, 5.0 * scale)) == (2, 3, 1)
 
     def test_benchmark_mu_order(self, benchmark_graph):
         rep = certainty_spectral(spectral_decompose(laplacian(benchmark_graph)), PARAMS)

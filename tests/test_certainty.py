@@ -16,10 +16,10 @@ from ddmnet import (
     closed_form_covariance,
     covariance_curves,
     dispersion_summary,
+    information_matrix,
     laplacian,
     make_family,
     mirror_graph,
-    mirror_group_inverse,
     permute_graph,
     propagator,
     spectral_decompose,
@@ -143,29 +143,29 @@ class TestCertaintySpectral:
 class TestGroupInverse:
     def test_two_node_value(self):
         # axioms PXP=P, XPX=X, PX=XP on [[1,-1],[-1,1]] force X = (1/4) * same
-        x = mirror_group_inverse(laplacian(undirected(2, [(1, 2)])))
+        x = information_matrix(laplacian(undirected(2, [(1, 2)]))).x
         assert np.allclose(x, np.array([[0.25, -0.25], [-0.25, 0.25]]), atol=1e-14)
 
     def test_annihilates_consensus(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             g = random_connected_graph(rng, int(rng.integers(2, 10)))
-            x = mirror_group_inverse(laplacian(g))
+            x = information_matrix(laplacian(g)).x
             assert np.abs(x @ np.ones(g.n)).max() < 1e-10
             assert np.abs(np.ones(g.n) @ x).max() < 1e-10
 
     def test_star_trace_is_kirchhoff_over_n(self):
-        x = mirror_group_inverse(laplacian(undirected(3, [(1, 2), (1, 3)])))
+        x = information_matrix(laplacian(undirected(3, [(1, 2), (1, 3)]))).x
         assert np.trace(x) == pytest.approx(4 / 3, abs=1e-12)
 
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
-            mirror_group_inverse(laplacian(undirected(4, [(1, 2), (3, 4)])))
+            information_matrix(laplacian(undirected(4, [(1, 2), (3, 4)])))
 
     def test_route_matches_spectral(self, benchmark_graph):
         lap = laplacian(benchmark_graph)
         spectral = certainty_spectral(spectral_decompose(lap), PARAMS)
-        group = certainty_group_inverse(mirror_group_inverse(lap), PARAMS)
+        group = certainty_group_inverse(information_matrix(lap).x, PARAMS)
         assert group.route == "group-inverse"
         assert np.allclose(group.inv_mu, spectral.inv_mu, rtol=1e-9)
         assert group.kirchhoff_index == pytest.approx(spectral.kirchhoff_index, rel=1e-12)
@@ -175,7 +175,7 @@ class TestGroupInverse:
             lap = laplacian(g)
             spectral = certainty_spectral(spectral_decompose(lap), PARAMS)
             group = certainty_group_inverse(
-                mirror_group_inverse(laplacian(mirror_graph(g))), PARAMS)
+                information_matrix(laplacian(mirror_graph(g))).x, PARAMS)
             assert np.allclose(group.inv_mu, spectral.inv_mu, rtol=1e-9)
 
 
@@ -347,7 +347,7 @@ class TestEnvelopeAndDispersion:
         )
         assert resistance_sum == pytest.approx(4.0, abs=1e-12)
         rep = certainty_spectral(spectral_decompose(lap), PARAMS)
-        summary = dispersion_summary(rep, lap)
+        summary = dispersion_summary(rep, information_matrix(lap).kirchhoff_index)
         assert summary.kirchhoff_index == pytest.approx(4.0, abs=1e-9)
 
     def test_two_node_kirchhoff(self):
@@ -355,7 +355,8 @@ class TestEnvelopeAndDispersion:
         lap = laplacian(g)
         assert effective_resistance_by_solve(lap, 0, 1) == pytest.approx(1.0)
         rep = certainty_spectral(spectral_decompose(lap), PARAMS)
-        assert dispersion_summary(rep, lap).kirchhoff_index == pytest.approx(1.0, abs=1e-12)
+        summary = dispersion_summary(rep, information_matrix(lap).kirchhoff_index)
+        assert summary.kirchhoff_index == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_residual_vanishes_on_undirected(self):
         rng = np.random.default_rng(44)
@@ -363,11 +364,11 @@ class TestEnvelopeAndDispersion:
             g = random_connected_graph(rng, int(rng.integers(2, 10)))
             lap = laplacian(g)
             rep = certainty_spectral(spectral_decompose(lap), PARAMS)
-            summary = dispersion_summary(rep, lap)
+            summary = dispersion_summary(rep, information_matrix(lap).kirchhoff_index)
             assert summary.identity_residual < 1e-9
 
 class TestGroupInverseCirculant:
     def test_circulant_diagonal_entries_equal(self):
         g = build_graph(6, [(k, k % 6 + 1, 1.0) for k in range(1, 7)])
-        x = mirror_group_inverse(laplacian(mirror_graph(g)))
+        x = information_matrix(laplacian(mirror_graph(g))).x
         assert np.ptp(np.diag(x)) < 1e-12

@@ -287,6 +287,15 @@ class TestVerify:
         assert statuses["covariance-envelope-bounds"] == "SKIP"
         assert statuses["row-stochastic-propagator"] == "PASS"
 
+    def test_tiny_weights_pass(self, tmp_path, capsys):
+        # every check is scale-free at 1e-9: the solve basis is shifted by
+        # the mean degree and rank_nodes rounds relative to the largest score
+        data = json.loads((ROOT / "tests/data/undirected60.json").read_text())
+        data["edges"] = [[k, j, w * 1e-9] for k, j, w in data["edges"]]
+        code, out = run_cli("verify", write_graph(tmp_path, data), capsys=capsys)
+        assert code == 0, out.err
+        assert "FAIL" not in out.err
+
     def test_disconnected_graph_records_every_check(self, tmp_path, capsys):
         out_ref = tmp_path / "ref.json"
         assert run_cli("verify", BENCHMARK, "--output", str(out_ref), capsys=capsys)[0] == 0
@@ -322,6 +331,16 @@ class TestGraphIO:
         code, out = run_cli(command, path, capsys=capsys)
         assert code == 2
         assert out.err.startswith("error: node 1: weighted out-degree is not finite")
+        assert out.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_subnormal_weight_is_usage_error(self, command, tmp_path, capsys):
+        # the mirror Laplacian's inverse overflows; the error names the weight range
+        path = write_graph(tmp_path, {"n": 2, "edges": [[1, 2, 2.2250738585e-313]], "undirected": True})
+        code, out = run_cli(command, path, capsys=capsys)
+        assert code == 2
+        assert out.err.startswith("error: cannot factor the mirror Laplacian in double precision: "
+                                  "edge weights lie in [2.23e-313, 2.23e-313]")
         assert out.out == ""
 
     def test_malformed_weight_is_usage_error(self, tmp_path, capsys):

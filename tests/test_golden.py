@@ -1,5 +1,7 @@
 """Reports compared byte for byte with files written before the array-backed
-graph storage; the curves CSV was written with the uniform covariance walk.
+graph storage; the curves CSV was written with the uniform covariance walk,
+and the group-inverse and info-centrality numbers with the Cholesky solve
+basis.
 
 The runs use the same relative paths from the repository root as the files
 were made with, so the "graph_file" echo matches too. To rewrite the files
