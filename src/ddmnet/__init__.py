@@ -26,7 +26,6 @@ from .certainty import (
     certainty_spectral,
     covariance_curves,
     dispersion_summary,
-    propagator,
     spectral_decompose,
     variance_envelope,
 )
@@ -50,7 +49,6 @@ from .families import (
     closed_form_mu,
     make_family,
     parse_family_spec,
-    path_spectrum,
 )
 from .graph import (
     GraphProfile,
@@ -66,6 +64,7 @@ from .graph import (
     mirror_graph,
     permute_graph,
 )
+from .request import Request
 from .simulate import (
     Ensemble,
     MomentReport,

@@ -93,8 +93,9 @@ def information_matrix(lap_mirror: np.ndarray, tol: Tolerances = DEFAULT_TOL) ->
         factor_inv = np.linalg.inv(np.linalg.cholesky(lap + s))
     except np.linalg.LinAlgError:
         factor_inv = np.full((n, n), math.nan)
-    x = factor_inv.T @ factor_inv - 1.0 / (s * n**2)
-    x = (x + x.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
+        x = factor_inv.T @ factor_inv - 1.0 / (s * n**2)
+        x = (x + x.T) / 2.0
     rtol = tol.group_inverse_rtol
     x_scale = float(np.abs(x).max())
     lx = lap @ x
@@ -336,3 +337,26 @@ def naive_combined_information(bundle: PathBundle) -> float:
             f"overlap matrix for pair ({bundle.source}, {bundle.target}) is singular"
         ) from exc
     return float(inv.sum())
+
+
+def path_oracle_pairs(g: WeightedDigraph, info: InformationMatrix) -> list[dict]:
+    """Per node pair k < j of the undirected graph g with solve basis `info`: the
+    path count, I_kj from `info`, the oracle's value and the orientation-blind
+    combination (None, with a note, where its overlap matrix is singular)."""
+    pairs = []
+    for k in range(1, g.n + 1):
+        for j in range(k + 1, g.n + 1):
+            bundle, oracle = enumerate_combined_paths(g, k, j, max_nodes=g.n)
+            entry = {
+                "pair": [k, j],
+                "paths": len(bundle.paths),
+                "information_matrix": float(info.information[k - 1, j - 1]),
+                "information_paths": oracle,
+            }
+            try:
+                entry["information_paths_orientation_blind"] = naive_combined_information(bundle)
+            except DdmnetError as exc:
+                entry["information_paths_orientation_blind"] = None
+                entry["note"] = str(exc)
+            pairs.append(entry)
+    return pairs

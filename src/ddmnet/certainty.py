@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import GraphValidationError, NotNormalError, NotStronglyConnectedError
+from .errors import DdmnetError, GraphValidationError, NotNormalError, NotStronglyConnectedError
 from .graph import is_normal, normality_residual, strongly_connected
 from .lazyscipy import scipy_linalg
 
@@ -127,7 +127,12 @@ def spectral_decompose(lap: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectr
                                    f"weight must be finite and > 0, got {-float(lap[k, j])}")
     if not strongly_connected(n, *np.nonzero(off)):
         raise NotStronglyConnectedError("graph is not strongly connected")
+    return _eigensystem(lap, tol)
 
+
+def _eigensystem(lap: np.ndarray, tol: Tolerances) -> SpectralData:
+    """spectral_decompose on a Laplacian known to be normal and strongly connected."""
+    n = lap.shape[0]
     scale = max(1.0, float(np.linalg.norm(lap, "fro")))
     if np.allclose(lap, lap.T, atol=tol.normality_rtol * scale):
         eigvals_r, vecs_r = np.linalg.eigh(lap)
@@ -174,14 +179,20 @@ def _validate_spectral(lap: np.ndarray, data: SpectralData, tol: Tolerances) -> 
 
 
 def certainty_spectral(data: SpectralData, params: ModelParams) -> CertaintyReport:
-    """Certainty from the eigenstructure: 1/mu_k = sigma^2 sum |u_k|^2 / (2 Re lambda)."""
+    """Certainty from the eigenstructure: 1/mu_k = sigma^2 sum |u_k|^2 / (2 Re lambda).
+    Raises DdmnetError where 1/Re lambda or 1/mu overflows (subnormal weights)."""
     n = data.n
     if n == 1:
         return _report_from_inv_mu(np.zeros(1), "spectral", 0.0, params.sigma)
     re = data.eigenvalues[1:].real
     weights = np.abs(data.vectors[:, 1:]) ** 2
-    inv_mu = params.sigma**2 * (weights / (2.0 * re)).sum(axis=1)
-    kirchhoff = n * float((1.0 / re).sum())
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inv_re = 1.0 / re
+        inv_mu = params.sigma**2 * (weights / (2.0 * re)).sum(axis=1)
+    if not (np.all(np.isfinite(inv_re)) and np.all(np.isfinite(inv_mu))):
+        raise DdmnetError("spectral certainty overflows double precision: smallest nonzero "
+                          f"Re lambda = {float(re.min()):.3g}")
+    kirchhoff = n * float(inv_re.sum())
     return _report_from_inv_mu(inv_mu, "spectral", kirchhoff, params.sigma)
 
 
@@ -202,11 +213,6 @@ def variance_envelope(params: ModelParams, n: int, t: float) -> tuple[float, flo
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     return params.beta * t, params.sigma**2 * t / n, params.sigma**2 * t
-
-
-def propagator(lap: np.ndarray, t: float) -> np.ndarray:
-    """State transition matrix expm(-L t); row-stochastic for every Laplacian."""
-    return scipy_linalg().expm(-np.asarray(lap, dtype=float) * t)
 
 
 def _covariance_from_spectrum(data: SpectralData, params: ModelParams, t: float,

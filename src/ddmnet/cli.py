@@ -28,29 +28,20 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import __version__
-from .centrality import (
-    certainty_via_centrality,
-    enumerate_combined_paths,
-    information_centrality,
-    information_matrix,
-    information_scores,
-    naive_combined_information,
-)
+from .centrality import information_centrality, path_oracle_pairs
 from .certainty import (
-    CertaintyReport,
     ModelParams,
     analytic_covariance,
-    certainty_group_inverse,
     certainty_spectral,
     covariance_curves,
     dispersion_summary,
-    spectral_decompose,
     variance_envelope,
 )
 from .errors import DdmnetError, PathCapExceededError, StepCapError
 from .families import closed_form_covariance, closed_form_mu, make_family, parse_family_spec
-from .graph import GraphProfile, WeightedDigraph, classify, laplacian, load_graph, mirror_graph
+from .graph import load_graph
 from .lazyscipy import single_thread_blas_on_load
+from .request import Request
 from .simulate import SimConfig, empirical_moments, simulate_ensemble, validate_moments
 from .verify import FAIL, run_checks
 
@@ -60,21 +51,9 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _profile_dict(p: GraphProfile) -> dict:
-    return {
-        "out_degree": list(p.out_degree),
-        "in_degree": list(p.in_degree),
-        "balanced": p.balanced,
-        "strongly_connected": p.strongly_connected,
-        "normal_laplacian": p.normal_laplacian,
-        "normality_residual": p.normality_residual,
-    }
-
-
-def _base_report(command: str, config: dict, g: WeightedDigraph,
-                 profile: GraphProfile | None = None) -> dict:
+def _base_report(command: str, config: dict, req: Request) -> dict:
     return {"command": command, "version": __version__, "config": config,
-            "graph": g, "profile": _profile_dict(profile or classify(g))}
+            "graph": req.g, "profile": asdict(req.profile)}
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -159,75 +138,50 @@ def _check_grid(args: argparse.Namespace) -> None:
         raise ValueError(f"--t-step must be finite and > 0, got {args.t_step}")
 
 
-def _attach_curves(report: dict, g: WeightedDigraph, params: ModelParams,
-                   t_max: float, t_step: float) -> None:
+def _attach_curves(report: dict, req: Request, t_max: float, t_step: float) -> None:
+    n, params = req.g.n, req.params
     times = np.arange(0.0, t_max + 1e-12, t_step)
-    variances = covariance_curves(laplacian(g), params, t_step, times.size)
-    header = ["t"] + [f"var_node_{k}" for k in range(1, g.n + 1)] + ["envelope_lower", "envelope_upper"]
+    variances = covariance_curves(req.lap, params, t_step, times.size)
+    header = ["t"] + [f"var_node_{k}" for k in range(1, n + 1)] + ["envelope_lower", "envelope_upper"]
     rows = []
     for i, t in enumerate(times):
-        _, lower, upper = variance_envelope(params, g.n, float(t))
+        _, lower, upper = variance_envelope(params, n, float(t))
         rows.append([float(t)] + [float(v) for v in variances[i]] + [lower, upper])
     report["curves"] = {"header": header, "rows": rows}
 
 
-def _route_entry(report_or_error: CertaintyReport | str) -> dict:
-    if isinstance(report_or_error, str):
-        return {"applicable": False, "reason": report_or_error}
-    rep = report_or_error
-    return {
-        "applicable": True,
-        "rows": rep.to_rows(),
-        "kirchhoff_index": rep.kirchhoff_index,
-        "total_dispersion": rep.total_dispersion,
-    }
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     _check_grid(args)
-    g = load_graph(args.graph)
-    params = ModelParams(beta=args.beta, sigma=args.sigma)
-    profile = classify(g)
+    req = Request(load_graph(args.graph), ModelParams(beta=args.beta, sigma=args.sigma))
     config = {"graph_file": args.graph, "sigma": args.sigma, "beta": args.beta,
               "format": args.format, "t_max": args.t_max, "t_step": args.t_step}
-    report = _base_report("analyze", config, g, profile)
+    report = _base_report("analyze", config, req)
 
-    routes: dict[str, dict] = {}
-    csv_rows: list[dict] = []
-    if profile.normal_laplacian and profile.strongly_connected:
-        # two factorizations: L's eigenvectors, and the mirror's solve basis for the rest
-        spectral = certainty_spectral(spectral_decompose(laplacian(g)), params)
-        info = information_matrix(laplacian(mirror_graph(g)))
-        group = certainty_group_inverse(info.x, params)
-        info_harmonic, _ = information_scores(info)
-        bridge = certainty_via_centrality(info_harmonic, info.kirchhoff_index, params, g.n)
-        for rep in (spectral, group, bridge):
-            routes[rep.route] = _route_entry(rep)
-            csv_rows.extend(rep.to_rows())
-        report["dispersion"] = asdict(dispersion_summary(spectral, info.kirchhoff_index))
+    if req.routes:
+        report["routes"] = {rep.route: {"applicable": True, "rows": rep.to_rows(),
+                                        "kirchhoff_index": rep.kirchhoff_index,
+                                        "total_dispersion": rep.total_dispersion} for rep in req.routes}
+        report["csv_rows"] = [row for rep in req.routes for row in rep.to_rows()]
+        report["dispersion"] = asdict(dispersion_summary(req.routes[0], req.info.kirchhoff_index))
     else:
-        why_not = ("Laplacian is not normal" if not profile.normal_laplacian
+        why_not = ("Laplacian is not normal" if not req.profile.normal_laplacian
                    else "graph is not strongly connected")
-        msg = f"certainty index undefined: {why_not}"
-        for name in ("spectral", "group-inverse", "info-centrality"):
-            routes[name] = _route_entry(msg)
-    report["routes"] = routes
-    report["csv_rows"] = csv_rows
+        undefined = {"applicable": False, "reason": f"certainty index undefined: {why_not}"}
+        report["routes"] = dict.fromkeys(("spectral", "group-inverse", "info-centrality"), undefined)
+        report["csv_rows"] = []
     report["csv_fields"] = ["node", "mu", "inv_mu", "route"]
     if args.format == "curves":
-        _attach_curves(report, g, params, args.t_max, args.t_step)
+        _attach_curves(report, req, args.t_max, args.t_step)
     emit_report(report, args.format, args.output)
     return EXIT_OK
 
 
 def cmd_centrality(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
-    mirror = mirror_graph(g)
+    req = Request(load_graph(args.graph))
     config = {"graph_file": args.graph, "variant": args.variant, "oracle_cap": args.oracle_cap,
               "format": args.format}
-    report = _base_report("centrality", config, g)
-    info = information_matrix(laplacian(mirror))
-    cent = information_centrality(mirror, info, args.variant)
+    report = _base_report("centrality", config, req)
+    cent = information_centrality(req.mirror, req.info, args.variant)
     report["centrality"] = {
         "rows": cent.to_rows(),
         "ranking": list(cent.ranking),
@@ -235,25 +189,9 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     }
     report["csv_rows"] = cent.to_rows()
     report["csv_fields"] = ["node", "closeness", "info_harmonic", "info_arithmetic", "rank"]
-    if mirror.n <= args.oracle_cap and mirror.n > 1:
-        pairs = []
+    if 1 < req.g.n <= args.oracle_cap:
         try:
-            for k in range(1, mirror.n + 1):
-                for j in range(k + 1, mirror.n + 1):
-                    bundle, oracle = enumerate_combined_paths(mirror, k, j, max_nodes=args.oracle_cap)
-                    entry = {
-                        "pair": [k, j],
-                        "paths": len(bundle.paths),
-                        "information_matrix": float(info.information[k - 1, j - 1]),
-                        "information_paths": oracle,
-                    }
-                    try:
-                        entry["information_paths_orientation_blind"] = naive_combined_information(bundle)
-                    except DdmnetError as exc:
-                        entry["information_paths_orientation_blind"] = None
-                        entry["note"] = str(exc)
-                    pairs.append(entry)
-            report["path_oracle"] = {"pairs": pairs}
+            report["path_oracle"] = {"pairs": path_oracle_pairs(req.mirror, req.info)}
         except PathCapExceededError as exc:
             report["path_oracle"] = {"skipped": str(exc)}
     emit_report(report, args.format, args.output)
@@ -263,14 +201,14 @@ def cmd_centrality(args: argparse.Namespace) -> int:
 def cmd_family(args: argparse.Namespace) -> int:
     _check_grid(args)
     spec = parse_family_spec(args.spec)
-    g = make_family(spec)
-    params = ModelParams(beta=args.beta, sigma=args.sigma)
+    req = Request(make_family(spec), ModelParams(beta=args.beta, sigma=args.sigma))
+    params = req.params
     check_times = [float(tok) for tok in args.times.split(",") if tok.strip()]
     if not all(0.0 <= t < math.inf for t in check_times):
         raise ValueError(f"--times must be finite and >= 0, got {args.times}")
     config = {"family": args.spec, "sigma": args.sigma, "beta": args.beta,
               "times": check_times, "format": args.format}
-    report = _base_report("family", config, g)
+    report = _base_report("family", config, req)
     closed = closed_form_mu(spec, args.sigma)
     closed_entry: dict = {
         "normal": closed.normal,
@@ -285,22 +223,21 @@ def cmd_family(args: argparse.Namespace) -> int:
         csv_rows = [
             {"node": k + 1, "mu": None if math.isinf(closed.mu[k]) else closed.mu[k],
              "inv_mu": closed.inv_mu[k], "route": "closed-form"}
-            for k in range(g.n)
+            for k in range(req.g.n)
         ]
     report["closed_form"] = closed_entry
     report["csv_fields"] = ["node", "mu", "inv_mu", "route"]
     report["csv_rows"] = csv_rows
 
-    lap = laplacian(g)
     cross: dict = {}
     if closed.mu is not None:
-        spectral = certainty_spectral(spectral_decompose(lap), params)
+        spectral = certainty_spectral(req.spectral, params)
         gap = max(abs(a - b) for a, b in zip(spectral.inv_mu, closed.inv_mu))
         cross["inv_mu_spectral_gap"] = gap
     cov_gaps = {}
     for t in check_times:
         try:
-            general = analytic_covariance(lap, params, t, "general")
+            general = analytic_covariance(req.lap, params, t, "general")
         except ValueError as exc:
             raise ValueError(f"--times {t}: {exc}") from exc
         gap = float(np.abs(closed_form_covariance(spec, params, t) - general).max())
@@ -308,14 +245,14 @@ def cmd_family(args: argparse.Namespace) -> int:
     cross["covariance_integration_gap"] = cov_gaps
     report["cross_check"] = cross
     if args.format == "curves":
-        _attach_curves(report, g, params, args.t_max, args.t_step)
+        _attach_curves(report, req, args.t_max, args.t_step)
     emit_report(report, args.format, args.output)
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
-    params = ModelParams(beta=args.beta, sigma=args.sigma)
+    req = Request(load_graph(args.graph), ModelParams(beta=args.beta, sigma=args.sigma))
+    g, params = req.g, req.params
     sample_times = tuple(float(tok) for tok in args.sample_times.split(",") if tok.strip())
     try:
         cfg = SimConfig(params=params, t_max=args.t_max, step=args.step,
@@ -327,15 +264,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               "t_max": args.t_max, "step": args.step, "trajectories": args.trajectories,
               "seed": args.seed, "sample_times": list(sample_times), "gate": args.gate,
               "format": args.format}
-    report = _base_report("simulate", config, g)
+    report = _base_report("simulate", config, req)
     ensemble = simulate_ensemble(g, cfg, workers=args.workers)
-    lap = laplacian(g)
     overall_pass = True
     entries = []
     csv_rows = []
     for t in sample_times:
         moments = empirical_moments(ensemble, t)
-        target = analytic_covariance(lap, params, t, "general")
+        target = analytic_covariance(req.lap, params, t, "general")
         target_mean = np.full(g.n, params.beta * t)
         validation = validate_moments(moments, target, gate=args.gate,
                                       target_mean=target_mean)
@@ -372,13 +308,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
-    params = ModelParams(beta=args.beta, sigma=args.sigma)
-    profile = classify(g)
-    results = run_checks(g, params, oracle_cap=args.oracle_cap, profile=profile)
+    req = Request(load_graph(args.graph), ModelParams(beta=args.beta, sigma=args.sigma))
+    results = run_checks(req, oracle_cap=args.oracle_cap)
     config = {"graph_file": args.graph, "sigma": args.sigma, "beta": args.beta,
               "oracle_cap": args.oracle_cap, "format": args.format}
-    report = _base_report("verify", config, g, profile)
+    report = _base_report("verify", config, req)
     report["checks"] = [{"name": r.name, "status": r.status, "detail": r.detail} for r in results]
     failed = [r for r in results if r.status == FAIL]
     report["passed"] = not failed

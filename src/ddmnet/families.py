@@ -143,10 +143,6 @@ class ClosedFormResult:
     inv_mu: tuple[float, ...] | None
     reason: str | None = None
 
-    def variance(self, t: float) -> np.ndarray:
-        """Per-node variance at time t from the family's covariance closed form."""
-        return np.diag(closed_form_covariance(self.spec, ModelParams(sigma=self.sigma), t)).copy()
-
 
 def _circulant_eigenvalues(spec: FamilySpec) -> np.ndarray:
     """Eigenvalues of a circulant Laplacian from the discrete Fourier transform
@@ -273,21 +269,3 @@ def closed_form_covariance(spec: FamilySpec, params: ModelParams, t: float) -> n
     cov[1:, 1:] = c2 + c3 * np.eye(n - 1)
     return s2 * cov
 
-
-def path_spectrum(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of the undirected-path Laplacian.
-
-    lambda_p = 2 alpha (1 - cos(pi (p-1) / n)); the p-th eigenvector has
-    components sqrt(2/n) cos(pi (p-1) (k - 1/2) / n) for p >= 2 and the
-    uniform vector 1/sqrt(n) for p = 1. Returned in ascending-p order.
-    """
-    if n < 1:
-        raise GraphValidationError(f"path order must be >= 1, got {n}")
-    p = np.arange(1, n + 1)
-    eigvals = 2.0 * alpha * (1.0 - np.cos(np.pi * (p - 1) / n))
-    k = np.arange(1, n + 1)
-    vecs = np.empty((n, n))
-    vecs[:, 0] = 1.0 / math.sqrt(n)
-    for col in range(2, n + 1):
-        vecs[:, col - 1] = math.sqrt(2.0 / n) * np.cos(np.pi * (col - 1) * (k - 0.5) / n)
-    return eigvals, vecs

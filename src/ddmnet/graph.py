@@ -312,12 +312,19 @@ def is_strongly_connected(g: WeightedDigraph) -> bool:
 
 def classify(g: WeightedDigraph, tol: Tolerances = DEFAULT_TOL) -> GraphProfile:
     """Compute degrees and the balance / strong-connectivity / normality flags."""
-    a = g.adjacency()
-    out_deg = a.sum(axis=1)
-    in_deg = a.sum(axis=0)
+    return _classify(g, laplacian(g), tol)
+
+
+def _classify(g: WeightedDigraph, lap: np.ndarray, tol: Tolerances) -> GraphProfile:
+    """classify(g, tol) on lap = laplacian(g). The degrees are bit-equal to the
+    adjacency's sums: the diagonal of lap is the out-degree (-0.0 for a node
+    without out-arcs, hence + 0.0), and -lap off the diagonal is the adjacency."""
+    out_deg = np.diag(lap) + 0.0
+    adjacency = -lap
+    np.fill_diagonal(adjacency, 0.0)
+    in_deg = adjacency.sum(axis=0)
     scale = max(1.0, float(np.max(out_deg + in_deg, initial=0.0)))
     balanced = bool(np.all(np.abs(out_deg - in_deg) <= tol.balance_rtol * scale))
-    lap = laplacian(g)
     residual = normality_residual(lap)
     normal = residual <= tol.normality_rtol * max(1.0, float(np.linalg.norm(lap, "fro")) ** 2)
     return GraphProfile(

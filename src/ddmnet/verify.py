@@ -14,36 +14,19 @@ from itertools import islice
 
 import numpy as np
 
-from .centrality import (
-    certainty_via_centrality,
-    enumerate_combined_paths,
-    information_matrix,
-    information_scores,
-    naive_combined_information,
-    rank_nodes,
-)
+from .centrality import path_oracle_pairs, rank_nodes
 from .certainty import (
     ModelParams,
     _covariance_from_spectrum,
     _covariance_step,
     _covariance_walk,
-    certainty_group_inverse,
-    certainty_spectral,
     dispersion_summary,
-    spectral_decompose,
     variance_envelope,
 )
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DdmnetError, PathCapExceededError
-from .graph import (
-    GraphProfile,
-    WeightedDigraph,
-    classify,
-    is_strongly_connected,
-    laplacian,
-    laplacian_row_residual,
-    mirror_graph,
-)
+from .errors import DisconnectedGraphError, PathCapExceededError
+from .graph import WeightedDigraph, laplacian_row_residual, mirror_graph
+from .request import Request
 from .simulate import SimConfig, simulate_ensemble
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
@@ -62,19 +45,18 @@ def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
-               tol: Tolerances = DEFAULT_TOL, oracle_cap: int = 8,
-               profile: GraphProfile | None = None) -> list[CheckResult]:
+def run_checks(g: WeightedDigraph | Request, params: ModelParams | None = None,
+               tol: Tolerances = DEFAULT_TOL, oracle_cap: int = 8) -> list[CheckResult]:
     """Run the full invariant suite against one graph.
 
-    `profile` is `classify(g, tol)` when the caller already has it.
+    `g` is the graph, or a Request on it whose stages the caller shares; a
+    Request brings its own parameters and tolerances in place of `params` and
+    `tol`. The path oracle runs when 1 < n <= `oracle_cap`.
     """
-    params = params or ModelParams()
+    req = g if isinstance(g, Request) else Request(g, params or ModelParams(), tol)
+    g, params, tol = req.g, req.params, req.tol
+    lap, profile, mirror = req.lap, req.profile, req.mirror
     results: list[CheckResult] = []
-    lap = laplacian(g)
-    profile = profile or classify(g, tol)
-    mirror = mirror_graph(g)
-    lap_mirror = laplacian(mirror)
 
     def record(name: str, status: str, detail: str = "") -> None:
         results.append(CheckResult(name=name, status=status, detail=detail))
@@ -85,7 +67,7 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
 
     # mirror Laplacian equals the symmetric part of the original (balanced only)
     if profile.balanced:
-        sym_gap = float(np.abs(lap_mirror - (lap + lap.T) / 2.0).max())
+        sym_gap = float(np.abs(req.lap_mirror - (lap + lap.T) / 2.0).max())
         record("mirror-symmetric-part",
                PASS if sym_gap <= 1e-12 * max(1.0, float(np.abs(lap).max())) else FAIL,
                f"max deviation = {sym_gap:.2e}")
@@ -113,41 +95,23 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
     record("row-stochastic-propagator", PASS if worst <= 1e-9 else FAIL, f"max |row sum - 1| = {worst:.2e}")
 
     # certainty routes
-    spectral_report = None
-    if profile.normal_laplacian and profile.strongly_connected:
-        data = spectral_decompose(lap, tol)
-        spectral_report = certainty_spectral(data, params)
+    if req.routes:
+        spectral_report, group_report, centrality_report = req.routes
         record("spectral-route", PASS, "certainty computed from the eigenstructure")
-    else:
-        why = "Laplacian not normal" if not profile.normal_laplacian else "not strongly connected"
-        record("spectral-route", SKIP, f"{why}; certainty index undefined for this graph")
-
-    info = None  # the solve basis, shared by the routes and the path oracle
-    if profile.strongly_connected and profile.normal_laplacian:
-        info = information_matrix(lap_mirror, tol)
-        group_report = certainty_group_inverse(info.x, params)
-        info_harmonic, _ = information_scores(info)
-        centrality_report = certainty_via_centrality(
-            info_harmonic, info.kirchhoff_index, params, g.n)
-
-        gap_sg = max(_rel_gap(a, b) for a, b in zip(spectral_report.inv_mu, group_report.inv_mu))
-        record("route-spectral-vs-group-inverse", PASS if gap_sg <= tol.route_agreement_rtol else FAIL,
-               f"max per-node gap = {gap_sg:.2e}")
-        gap_sc = max(_rel_gap(a, b) for a, b in zip(spectral_report.inv_mu, centrality_report.inv_mu))
-        record("route-spectral-vs-centrality", PASS if gap_sc <= tol.route_agreement_rtol else FAIL,
-               f"max per-node gap = {gap_sc:.2e}")
-        # both from one factorization: this checks the bridge formula
+        # the last pair comes from one factorization: it checks the bridge formula
         # 1/mu = (sigma^2 / 2) (1/kappa - K_f / n^2), not an independent route
-        gap_gc = max(_rel_gap(a, b) for a, b in zip(group_report.inv_mu, centrality_report.inv_mu))
-        record("route-group-inverse-vs-centrality", PASS if gap_gc <= tol.route_agreement_rtol else FAIL,
-               f"max per-node gap = {gap_gc:.2e}")
+        for name, a, b in (("route-spectral-vs-group-inverse", spectral_report, group_report),
+                           ("route-spectral-vs-centrality", spectral_report, centrality_report),
+                           ("route-group-inverse-vs-centrality", group_report, centrality_report)):
+            gap = max(_rel_gap(x, y) for x, y in zip(a.inv_mu, b.inv_mu))
+            record(name, PASS if gap <= tol.route_agreement_rtol else FAIL, f"max per-node gap = {gap:.2e}")
 
         # ranking by certainty == ranking by information centrality
         same = (rank_nodes(spectral_report.mu, tol.rank_decimals)
-                == rank_nodes(info_harmonic, tol.rank_decimals))
+                == rank_nodes(req.harmonic, tol.rank_decimals))
         record("ranking-certainty-vs-info-centrality", PASS if same else FAIL)
 
-        disp = dispersion_summary(spectral_report, info.kirchhoff_index)
+        disp = dispersion_summary(spectral_report, req.info.kirchhoff_index)
         if g.is_undirected():
             ok = disp.identity_residual <= 1e-9 * max(1.0, disp.total_dispersion)
             record("dispersion-kirchhoff-identity", PASS if ok else FAIL,
@@ -157,9 +121,11 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
                    "identity asserted for undirected graphs only; "
                    f"residual = {disp.identity_residual:.2e}")
     else:
-        record("route-spectral-vs-group-inverse", SKIP, "certainty routes need normal + strongly connected")
-        record("route-spectral-vs-centrality", SKIP, "certainty routes need normal + strongly connected")
-        record("route-group-inverse-vs-centrality", SKIP, "certainty routes need normal + strongly connected")
+        why = "Laplacian not normal" if not profile.normal_laplacian else "not strongly connected"
+        record("spectral-route", SKIP, f"{why}; certainty index undefined for this graph")
+        for name in ("route-spectral-vs-group-inverse", "route-spectral-vs-centrality",
+                     "route-group-inverse-vs-centrality"):
+            record(name, SKIP, "certainty routes need normal + strongly connected")
         record("ranking-certainty-vs-info-centrality", SKIP, "certainty undefined")
         record("dispersion-kirchhoff-identity", SKIP, "certainty undefined")
 
@@ -182,7 +148,8 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
     else:
         record("covariance-envelope-bounds", SKIP, "lower bound needs strong connectivity")
 
-    if spectral_report is not None and g.n > 1:
+    if req.routes and g.n > 1:
+        data = req.spectral
         rate = float(data.eigenvalues[1:].real.min())
         t_late = 12.0 / rate  # e^{-2 rate t} < 4e-11: transient is below tolerance
         var_late = np.diag(_covariance_from_spectrum(data, params, t_late, tol))
@@ -212,39 +179,31 @@ def run_checks(g: WeightedDigraph, params: ModelParams | None = None,
            f"{sim_cfg.trajectories} trajectories, {sim_cfg.total_steps} steps, repeated run")
 
     # path-enumeration oracle vs matrix information on the mirror
-    if mirror.n <= 1:
+    if g.n <= 1:
         record("path-oracle-vs-matrix-information", SKIP, "single node")
-    elif mirror.n > oracle_cap:
+    elif g.n > oracle_cap:
         record("path-oracle-vs-matrix-information", SKIP,
-               f"n = {mirror.n} exceeds the oracle cap {oracle_cap}")
-    elif not is_strongly_connected(mirror):
-        record("path-oracle-vs-matrix-information", SKIP,
-               "mirror graph is disconnected; pairwise information is undefined")
+               f"n = {g.n} exceeds the oracle cap {oracle_cap}")
     else:
         try:
-            if info is None:
-                info = information_matrix(lap_mirror, tol)
-            worst_pair = 0.0
-            naive_deviations = []
-            for k in range(1, mirror.n + 1):
-                for j in range(k + 1, mirror.n + 1):
-                    bundle, oracle = enumerate_combined_paths(mirror, k, j, max_nodes=oracle_cap)
-                    worst_pair = max(worst_pair, abs(oracle - info.information[k - 1, j - 1]))
-                    try:
-                        naive = naive_combined_information(bundle)
-                        if abs(naive - oracle) > tol.oracle_agreement_atol:
-                            naive_deviations.append((k, j, naive - oracle))
-                    except DdmnetError:
-                        naive_deviations.append((k, j, math.nan))
-            status = PASS if worst_pair <= tol.oracle_agreement_atol else FAIL
-            detail = f"max |oracle - matrix| = {worst_pair:.2e}"
-            if naive_deviations:
-                pairs = ", ".join(f"({k},{j})" for k, j, _ in naive_deviations)
-                detail += (f"; orientation-blind path combination deviates on pairs {pairs}"
-                           " (reported, not a failure)")
-            record("path-oracle-vs-matrix-information", status, detail)
+            entries = path_oracle_pairs(mirror, req.info)
+        except DisconnectedGraphError:
+            record("path-oracle-vs-matrix-information", SKIP,
+                   "mirror graph is disconnected; pairwise information is undefined")
         except PathCapExceededError as exc:
             record("path-oracle-vs-matrix-information", SKIP, str(exc))
+        else:
+            atol = tol.oracle_agreement_atol
+            worst_pair = max(0.0, *(abs(e["information_paths"] - e["information_matrix"]) for e in entries))
+            deviating = [e["pair"] for e in entries
+                         if e["information_paths_orientation_blind"] is None
+                         or abs(e["information_paths_orientation_blind"] - e["information_paths"]) > atol]
+            detail = f"max |oracle - matrix| = {worst_pair:.2e}"
+            if deviating:
+                pairs = ", ".join(f"({k},{j})" for k, j in deviating)
+                detail += (f"; orientation-blind path combination deviates on pairs {pairs}"
+                           " (reported, not a failure)")
+            record("path-oracle-vs-matrix-information", PASS if worst_pair <= atol else FAIL, detail)
 
     return results
 

@@ -21,10 +21,10 @@ from ddmnet import (
     make_family,
     mirror_graph,
     permute_graph,
-    propagator,
     spectral_decompose,
     variance_envelope,
 )
+from ddmnet.certainty import _covariance_step
 from ddmnet.errors import DisconnectedGraphError, GraphValidationError
 
 PARAMS = ModelParams(beta=1.0, sigma=1.0)
@@ -317,12 +317,12 @@ class TestPropagator:
     def test_row_stochastic(self, benchmark_graph):
         lap = laplacian(benchmark_graph)
         for t in (0.1, 1.0, 5.0):
-            rows = propagator(lap, t).sum(axis=1)
+            rows = _covariance_step(lap, 1.0, t)[0].sum(axis=1)
             assert np.abs(rows - 1.0).max() < 1e-9
 
     def test_row_stochastic_non_normal(self):
         g = build_graph(3, [(1, 2, 1.0), (1, 3, 1.0)])
-        rows = propagator(laplacian(g), 2.0).sum(axis=1)
+        rows = _covariance_step(laplacian(g), 1.0, 2.0)[0].sum(axis=1)
         assert np.abs(rows - 1.0).max() < 1e-9
 
 

@@ -334,6 +334,7 @@ class TestGraphIO:
         assert out.out == ""
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
     def test_subnormal_weight_is_usage_error(self, command, tmp_path, capsys):
         # the mirror Laplacian's inverse overflows; the error names the weight range
         path = write_graph(tmp_path, {"n": 2, "edges": [[1, 2, 2.2250738585e-313]], "undirected": True})

@@ -16,7 +16,6 @@ from ddmnet import (
     laplacian,
     make_family,
     parse_family_spec,
-    path_spectrum,
     spectral_decompose,
 )
 from ddmnet.graph import MAX_NODES
@@ -258,35 +257,8 @@ class TestClosedFormCovariance:
         scaled = closed_form_covariance(spec, ModelParams(sigma=3.0), 2.0)
         assert np.allclose(scaled, 9.0 * base, rtol=1e-15)
 
-    def test_variance_accessor(self):
-        res = closed_form_mu(FamilySpec("undirected_star", 5), sigma=1.0)
-        var = res.variance(2.0)
-        cov = closed_form_covariance(FamilySpec("undirected_star", 5), PARAMS, 2.0)
-        assert np.array_equal(var, np.diag(cov))
-
 
 class TestPathSpectrum:
-    def test_three_node_eigenvalues(self):
-        eigvals, _ = path_spectrum(3, 1.0)
-        assert np.allclose(np.sort(eigvals), [0.0, 1.0, 3.0])
-
-    def test_uniform_first_mode(self):
-        _, vecs = path_spectrum(5, 1.0)
-        assert np.allclose(vecs[:, 0], 1 / math.sqrt(5))
-
-    def test_two_node_matches_complete(self):
-        eigvals, _ = path_spectrum(2, 1.0)
-        assert np.allclose(np.sort(eigvals), [0.0, 2.0])
-
-    def test_eigenpair_residual_and_orthonormality(self):
-        for n in (2, 5, 9):
-            for alpha in (1.0, 2.5):
-                lap = laplacian(make_family(FamilySpec("undirected_path", n, alpha)))
-                eigvals, vecs = path_spectrum(n, alpha)
-                res = np.linalg.norm(lap @ vecs - vecs * eigvals)
-                assert res < 1e-9 * max(1.0, np.linalg.norm(lap))
-                assert np.abs(vecs.T @ vecs - np.eye(n)).max() < 1e-10
-
     def test_variance_plateau_consistency(self):
         # diagonal of the covariance converges to sigma^2 t / n + 1/mu
         spec = FamilySpec("undirected_path", 5)

@@ -5,6 +5,7 @@ path oracle's matrix side; the spectral route keeps its own eigensolver.
 
 import itertools
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -71,6 +72,70 @@ def test_factorization_counts(command, graph, expected, linalg_calls, tmp_path, 
     assert main([command, graph, "--output", str(tmp_path / "report")]) == 0
     capsys.readouterr()
     assert dict(linalg_calls) == expected
+
+
+DIGRAPH6 = str(ROOT / "tests/data/digraph6.json")
+STAGES = ("laplacian", "normality_residual", "strongly_connected", "mirror_graph")
+
+
+@pytest.fixture
+def stage_calls(monkeypatch) -> Counter:
+    """Count calls to the graph stages a request builds, under every name a
+    ddmnet module binds them to, and to WeightedDigraph.adjacency."""
+    import ddmnet.graph
+
+    calls: Counter = Counter()
+    for name in STAGES:
+        real = getattr(ddmnet.graph, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ddmnet"]:
+            for attr in [a for a, v in vars(module).items() if v is real]:
+                monkeypatch.setattr(module, attr, counting)
+    real_adjacency = ddmnet.graph.WeightedDigraph.adjacency
+
+    def adjacency(self):
+        calls["adjacency"] += 1
+        return real_adjacency(self)
+
+    monkeypatch.setattr(ddmnet.graph.WeightedDigraph, "adjacency", adjacency)
+    return calls
+
+
+def stages(laplacian, adjacency, normality_residual, strongly_connected, mirror_graph=0) -> dict:
+    counts = {"laplacian": laplacian, "adjacency": adjacency, "normality_residual": normality_residual,
+              "strongly_connected": strongly_connected, "mirror_graph": mirror_graph}
+    return {name: count for name, count in counts.items() if count}
+
+
+# Each command builds the Laplacian, the profile (one normality commutator,
+# one strong-connectivity search), the mirror and its Laplacian at most once;
+# the mirror's solve basis searches the mirror once more. analyze leaves the
+# mirror alone where the certainty index is undefined (digraph6 is not
+# normal). verify adds simulate_ensemble's own Laplacian on each of its two
+# determinism runs, and the mirror of the mirror for the idempotence check.
+@pytest.mark.parametrize("argv,expected", [
+    (["analyze", UNDIRECTED60], stages(2, 2, 1, 2, 1)),
+    (["analyze", FIXTURE], stages(2, 2, 1, 2, 1)),
+    (["analyze", DIGRAPH6], stages(1, 1, 1, 1)),
+    (["centrality", UNDIRECTED60], stages(2, 2, 1, 2, 1)),
+    (["centrality", FIXTURE], stages(2, 2, 1, 2, 1)),
+    (["centrality", DIGRAPH6], stages(2, 2, 1, 2, 1)),
+    (["verify", UNDIRECTED60], stages(4, 4, 1, 2, 2)),
+    (["verify", FIXTURE], stages(4, 4, 1, 2, 2)),
+    (["verify", DIGRAPH6], stages(4, 4, 1, 2, 2)),
+    (["family", "complete:9:1"], stages(1, 1, 1, 1)),
+    (["simulate", FIXTURE, "--trajectories", "64", "--t-max", "0.1", "--sample-times", "0.1"],
+     stages(2, 2, 1, 1)),
+], ids=[f"{command}-{graph}" for command in ("analyze", "centrality", "verify")
+        for graph in ("undirected60", "fixture", "digraph6")] + ["family-complete9", "simulate-fixture"])
+def test_stage_counts(argv, expected, stage_calls, tmp_path, capsys):
+    assert main([*argv, "--output", str(tmp_path / "report")]) == 0
+    capsys.readouterr()
+    assert dict(stage_calls) == expected
 
 
 def scaled(g, k):
@@ -146,9 +211,19 @@ def path_graph(weights):
     # X overflows
     ([2.2250738585e-313], "[2.23e-313, 2.23e-313]"),
 ])
+@pytest.mark.filterwarnings("error")  # the failure is named without a RuntimeWarning on the way
 def test_weight_range_beyond_double_precision_is_named(weights, span):
     with pytest.raises(DdmnetError, match=re.escape(f"edge weights lie in {span}") + "$"):
         information_matrix(laplacian(path_graph(weights)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectral_certainty_names_an_overflowing_spectrum():
+    # on a subnormal edge 1/Re lambda overflows; the spectral route says so instead of reporting inf
+    data = spectral_decompose(laplacian(path_graph([2.2250738585e-313])))
+    with pytest.raises(DdmnetError, match=r"^spectral certainty overflows double precision: "
+                                          r"smallest nonzero Re lambda = 4\.45e-313$"):
+        certainty_spectral(data, PARAMS)
 
 
 def test_single_node():
