@@ -22,7 +22,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from functools import cache
 from itertools import chain, repeat
 
 import numpy as np
@@ -35,7 +35,6 @@ from .certainty import (
     certainty_spectral,
     covariance_curves,
     dispersion_summary,
-    variance_envelope,
 )
 from .errors import DdmnetError, PathCapExceededError, StepCapError
 from .families import closed_form_covariance, closed_form_mu, make_family, parse_family_spec
@@ -52,8 +51,9 @@ EXIT_INTERNAL = 3
 
 
 def _base_report(command: str, config: dict, req: Request) -> dict:
+    # a shallow copy of the profile's fields: json writes its degree tuples as arrays
     return {"command": command, "version": __version__, "config": config,
-            "graph": req.g, "profile": asdict(req.profile)}
+            "graph": req.g, "profile": dict(vars(req.profile))}
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -101,7 +101,9 @@ def emit_report(report: dict, fmt: str, path: str | None) -> None:
     """Serialize a report deterministically (sorted keys, repr floats).
 
     The csv_rows / csv_fields / curves entries are presentation payloads for
-    the respective formats and are stripped from JSON output.
+    the respective formats and are stripped from JSON output. The curves
+    header holds plain column names and its rows hold floats, so each line is
+    the comma join of their repr, as csv.writer would write it.
     """
     if fmt == "json":
         body = {k: v for k, v in report.items() if k not in ("csv_rows", "csv_fields", "curves")}
@@ -122,11 +124,8 @@ def emit_report(report: dict, fmt: str, path: str | None) -> None:
         curves = report.get("curves")
         if curves is None:
             raise DdmnetError(f"command {report['command']!r} does not produce curves")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(curves["header"])
-        writer.writerows(curves["rows"])
-        _emit(buf.getvalue(), path)
+        lines = [",".join(curves["header"]), *(",".join(map(str, row)) for row in curves["rows"])]
+        _emit("\n".join(lines) + "\n", path)
         return
     raise DdmnetError(f"unknown output format {fmt!r}")
 
@@ -143,10 +142,12 @@ def _attach_curves(report: dict, req: Request, t_max: float, t_step: float) -> N
     times = np.arange(0.0, t_max + 1e-12, t_step)
     variances = covariance_curves(req.lap, params, t_step, times.size)
     header = ["t"] + [f"var_node_{k}" for k in range(1, n + 1)] + ["envelope_lower", "envelope_upper"]
-    rows = []
-    for i, t in enumerate(times):
-        _, lower, upper = variance_envelope(params, n, float(t))
-        rows.append([float(t)] + [float(v) for v in variances[i]] + [lower, upper])
+    # variance_envelope's (sigma^2 t / n, sigma^2 t), by the same IEEE operations
+    # (inf, as for Python floats, where the product overflows)
+    with np.errstate(over="ignore"):
+        upper = params.sigma**2 * times
+        lower = upper / n
+    rows = np.column_stack([times, variances, lower, upper]).tolist()
     report["curves"] = {"header": header, "rows": rows}
 
 
@@ -162,7 +163,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                                         "kirchhoff_index": rep.kirchhoff_index,
                                         "total_dispersion": rep.total_dispersion} for rep in req.routes}
         report["csv_rows"] = [row for rep in req.routes for row in rep.to_rows()]
-        report["dispersion"] = asdict(dispersion_summary(req.routes[0], req.info.kirchhoff_index))
+        report["dispersion"] = vars(dispersion_summary(req.routes[0], req.info.kirchhoff_index))
     else:
         why_not = ("Laplacian is not normal" if not req.profile.normal_laplacian
                    else "graph is not strongly connected")
@@ -344,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_analyze, ("json", "csv", "curves"))
     p_analyze.add_argument("--t-max", type=float, default=5.0, help="curves: final time")
     p_analyze.add_argument("--t-step", type=float, default=0.05, help="curves: grid step")
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_cent = sub.add_parser("centrality", help="closeness and information centrality of the mirror")
     p_cent.add_argument("graph", help="graph JSON file")
@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="which information-centrality variant drives the ranking")
     p_cent.add_argument("--oracle-cap", type=int, default=8,
                         help="run the path-enumeration oracle when n does not exceed this")
-    p_cent.set_defaults(func=cmd_centrality)
 
     p_family = sub.add_parser("family", help="generate a canonical family and cross-check closed forms")
     p_family.add_argument("spec", help="family spec kind:n:alpha, e.g. complete:9:1 or circulant(1,3):8:1")
@@ -361,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--times", default="0.1,1,5", help="times for the covariance cross-check")
     p_family.add_argument("--t-max", type=float, default=5.0, help="curves: final time")
     p_family.add_argument("--t-step", type=float, default=0.05, help="curves: grid step")
-    p_family.set_defaults(func=cmd_family)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo moments vs the analytic covariance")
     p_sim.add_argument("graph", help="graph JSON file")
@@ -375,22 +373,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process count, capped at one per 1024-trajectory chunk "
                             "(default: every usable CPU; result is identical)")
     p_sim.add_argument("--gate", type=float, default=4.0, help="z-score gate for diagonal entries")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite against a graph")
     p_verify.add_argument("graph", help="graph JSON file")
     common(p_verify, ("json",))
     p_verify.add_argument("--oracle-cap", type=int, default=8)
-    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use: building one costs more
+    than a small request's computation."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. The command function is looked up by name on each call,
+    so replacing a module's cmd_<name> takes effect on the next call."""
     single_thread_blas_on_load()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except DdmnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -323,10 +323,17 @@ def _classify(g: WeightedDigraph, lap: np.ndarray, tol: Tolerances) -> GraphProf
     adjacency = -lap
     np.fill_diagonal(adjacency, 0.0)
     in_deg = adjacency.sum(axis=0)
-    scale = max(1.0, float(np.max(out_deg + in_deg, initial=0.0)))
+    # an infinite degree sum means an infinite ||L||_F^2, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(1.0, float(np.max(out_deg + in_deg, initial=0.0)))
+        residual = normality_residual(lap)
+        lap_norm2 = float(np.linalg.norm(lap, "fro") ** 2)
+    if not (math.isfinite(residual) and math.isfinite(lap_norm2)):
+        weights = -lap[lap < 0.0]
+        raise GraphValidationError("the normality test overflows double precision: edge weights "
+                                   f"lie in [{weights.min():.3g}, {weights.max():.3g}]")
     balanced = bool(np.all(np.abs(out_deg - in_deg) <= tol.balance_rtol * scale))
-    residual = normality_residual(lap)
-    normal = residual <= tol.normality_rtol * max(1.0, float(np.linalg.norm(lap, "fro")) ** 2)
+    normal = residual <= tol.normality_rtol * max(1.0, lap_norm2)
     return GraphProfile(
         out_degree=tuple(float(d) for d in out_deg),
         in_degree=tuple(float(d) for d in in_deg),
@@ -348,13 +355,19 @@ def mirror_graph(g: WeightedDigraph) -> WeightedDigraph:
         return g
     lo, hi = np.minimum(g.src, g.dst), np.maximum(g.src, g.dst)
     order = np.lexsort((hi, lo))  # stable: arc (lo, hi) precedes (hi, lo), as in g
-    lo, hi, half = lo[order], hi[order], g.w[order] / 2.0
+    lo, hi, arc_w = lo[order], hi[order], g.w[order]
     start = np.flatnonzero(np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])])
-    # w_kj/2 + w_jk/2 rather than (w_kj + w_jk)/2: it cannot overflow
-    w = np.add.reduceat(half, start)
+    # (w_kj + w_jk)/2 keeps a subnormal pair's last bit, so mirroring a mirror is the
+    # identity; w_kj/2 + w_jk/2 where the sum overflows. Halving a normal float is
+    # exact, so the two agree bit for bit everywhere else.
+    with np.errstate(over="ignore"):
+        w = np.add.reduceat(arc_w, start) / 2.0
+    overflow = np.isinf(w)
+    if overflow.any():
+        w[overflow] = np.add.reduceat(arc_w / 2.0, start)[overflow]
     lo, hi = lo[start], hi[start]
     if not w.all():
-        # only arcs of the least subnormal weight halve to zero; report the pair met first in g
+        # only a lone arc of the least subnormal weight halves to zero; report the pair met first in g
         first = np.flatnonzero(w == 0.0)[np.argmin(order[start][w == 0.0])]
         raise GraphValidationError(f"edge ({lo[first]}, {hi[first]}): weight must be finite and > 0, got 0.0")
     src, dst, w = np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([w, w])

@@ -1,6 +1,10 @@
+import contextlib
+import csv
 import ctypes
 import inspect
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -344,6 +348,28 @@ class TestGraphIO:
                                   "edge weights lie in [2.23e-313, 2.23e-313]")
         assert out.out == ""
 
+    @pytest.mark.filterwarnings("error")
+    def test_least_subnormal_edge_is_usage_error(self, tmp_path, capsys):
+        # (w + w)/2 keeps an undirected edge of weight 5e-324 in the mirror; the solve basis rejects it
+        path = write_graph(tmp_path, {"n": 2, "edges": [[1, 2, 5e-324]], "undirected": True})
+        code, out = run_cli("analyze", path, capsys=capsys)
+        assert code == 2
+        assert out.err == ("error: cannot factor the mirror Laplacian in double precision: "
+                           "edge weights lie in [4.94e-324, 4.94e-324]\n")
+        assert out.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "centrality", "simulate", "verify"])
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_weights_beyond_the_normality_test_are_usage_error(self, command, tmp_path, capsys):
+        # ||L||_F^2 and the commutator overflow although every degree is finite
+        path = write_graph(tmp_path, {"n": 3, "edges": [[1, 2, 1e200], [2, 3, 1e200], [1, 3, 1e200]],
+                                      "undirected": True})
+        code, out = run_cli(command, path, capsys=capsys)
+        assert code == 2
+        assert out.err == ("error: the normality test overflows double precision: "
+                           "edge weights lie in [1e+200, 1e+200]\n")
+        assert out.out == ""
+
     def test_malformed_weight_is_usage_error(self, tmp_path, capsys):
         path = write_graph(tmp_path, {"n": 2, "edges": [[1, 2, "x"]]})
         code, out = run_cli("analyze", path, capsys=capsys)
@@ -527,6 +553,59 @@ class TestInternalError:
         assert code == 3
         assert out.err == "internal error: RuntimeError: boom second line\n"
         assert out.out == ""
+
+
+class TestParserReuse:
+    def test_one_parser_serves_a_request_sequence(self, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+        def rebuilt():
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        for argv, golden in [(["analyze", BENCHMARK, "--format", "csv"], "analyze_five_node.csv"),
+                             (["centrality", BENCHMARK], "centrality_five_node.json"),
+                             (["analyze", BENCHMARK], "analyze_five_node.json")]:
+            code, out = run_cli(*argv, capsys=capsys)
+            assert code == 0
+            assert out.out == (ROOT / "tests/data" / golden).read_text()
+
+        # the command is looked up when main is called, not when the parser was built
+        seen = []
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.graph) or 0)
+        assert main(["analyze", BENCHMARK]) == 0
+        assert seen == [BENCHMARK]
+
+
+# every float class csv.writer formats: signed zeros, subnormals, near-overflow, inf and nan
+CURVE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]),
+                         st.floats())
+
+
+@st.composite
+def curve_tables(draw):
+    n = draw(st.integers(0, 4))
+    header = ["t"] + [f"var_node_{k}" for k in range(1, n + 1)] + ["envelope_lower", "envelope_upper"]
+    rows = draw(st.lists(st.lists(CURVE_VALUES, min_size=n + 3, max_size=n + 3), max_size=6))
+    return header, rows
+
+
+class TestCurvesWriter:
+    @settings(deadline=None)
+    @given(curve_tables())
+    def test_matches_csv_writer(self, table):
+        header, rows = table
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli.emit_report({"command": "analyze", "curves": {"header": header, "rows": rows}}, "curves", None)
+        assert out.getvalue() == expected.getvalue()
 
 
 # repeated, integer-valued, subnormal and near-overflow weights

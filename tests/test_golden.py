@@ -1,7 +1,8 @@
 """Reports compared byte for byte with files written before the array-backed
 graph storage; the curves CSV was written with the uniform covariance walk,
 and the group-inverse and info-centrality numbers with the Cholesky solve
-basis.
+basis. The family report was written before the CLI built its parser once
+per process and wrote reports without deep copies.
 
 The runs use the same relative paths from the repository root as the files
 were made with, so the "graph_file" echo matches too. To rewrite the files
@@ -38,6 +39,7 @@ CASES = [
     ("verify_digraph6.json", ["verify", DIGRAPH]),
     ("verify_five_node.json", ["verify", FIXTURE]),
     ("curves_digraph6.csv", ["analyze", DIGRAPH, "--format", "curves"]),
+    ("family_complete9.json", ["family", "complete:9:1"]),
 ]
 
 

@@ -5,6 +5,8 @@ in logic: a per-edge validation loop, a dict-based mirror and a dict-based
 symmetry test. Over random edge lists with injected faults, the library must
 raise the same exception class with the same message, and on valid lists
 give the same arcs, bit-equal mirror weights and the same symmetry verdict.
+The reference mirror averages each pair as (w_kj + w_jk)/2, the rule that
+makes mirroring idempotent on subnormal weights.
 The references echo edges with the library's `_show`, which is `repr` except
 for an int too long to convert to a string. The numpy strong-connectivity
 search is held to scipy's strongly connected components the same way.
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -91,12 +93,15 @@ def ref_graph_from_dict(data):
 
 
 def ref_mirror(n, edges):
-    half = {}
+    # (w_kj + w_jk)/2, and w_kj/2 + w_jk/2 where the sum overflows
+    total, half = {}, {}
     for k, j, w in edges:
         key = (min(k, j), max(k, j))
+        total[key] = total.get(key, 0.0) + w
         half[key] = half.get(key, 0.0) + w / 2.0
     mirrored = []
-    for (a, b), w in half.items():
+    for (a, b), w in total.items():
+        w = w / 2.0 if w != math.inf else half[a, b]
         mirrored.append((a, b, w))
         mirrored.append((b, a, w))
     return ref_build_graph(n, mirrored)
@@ -245,6 +250,17 @@ class TestAgainstReference:
         assume(outcome(build_graph, n, edges)[0] == "ok")  # 1e308 weights can overflow a degree
         g = build_graph(n, edges)
         assert outcome(mirror_graph, g) == outcome(ref_mirror, n, g.edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists(faults=False))
+    @example((2, [[1, 2, 2.2250738585e-313]]))  # w/2 + w/2 lost the mirror's last bit here
+    def test_mirror_is_idempotent(self, case):
+        n, edges = case
+        assume(outcome(build_graph, n, edges)[0] == "ok")  # 1e308 weights can overflow a degree
+        g = build_graph(n, edges)
+        mirrored = outcome(mirror_graph, g)
+        assume(mirrored[0] == "ok")  # a lone arc of weight 5e-324 halves to zero
+        assert outcome(mirror_graph, mirror_graph(g)) == mirrored
 
     @settings(max_examples=200, deadline=None)
     @given(symmetric_graphs(), st.sampled_from([1e-12, 1e-9, 0.0]))
