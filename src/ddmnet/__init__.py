@@ -26,6 +26,7 @@ from .certainty import (
     certainty_spectral,
     covariance_curves,
     dispersion_summary,
+    spectral_covariance,
     spectral_decompose,
     variance_envelope,
 )

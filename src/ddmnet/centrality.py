@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certainty import CertaintyReport, ModelParams, _report_from_inv_mu
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .errors import (
     DdmnetError,
     DisconnectedGraphError,
@@ -24,7 +24,7 @@ from .errors import (
     OverlapMatrixSingularError,
     PathCapExceededError,
 )
-from .graph import WeightedDigraph, strongly_connected
+from .graph import WeightedDigraph, strongly_connected, weight_range
 
 
 def _require_undirected(g: WeightedDigraph) -> None:
@@ -37,15 +37,23 @@ def geodesic_closeness(g: WeightedDigraph) -> tuple[np.ndarray, tuple[float, ...
 
     Closeness of a node is the inverse of its mean distance to all nodes,
     the zero self-distance included. Distances come from scipy's Dijkstra
-    over the arcs; lengths are positive by construction. scipy is imported
-    here, on first use, so that commands which report no closeness never load it.
+    over the arcs; lengths are positive by construction. A length that
+    overflows (a subnormal weight) raises GraphValidationError naming its edge.
+    scipy is imported here, on first use, so that commands which report no
+    closeness never load it.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
     _require_undirected(g)
     n = g.n
-    lengths = csr_matrix((1.0 / g.w, (g.src - 1, g.dst - 1)), shape=(n, n))
+    with np.errstate(over="ignore", divide="ignore"):
+        length = 1.0 / g.w
+    if np.isinf(length).any():
+        i = int(np.argmax(np.isinf(length)))
+        raise GraphValidationError(f"edge ({g.src[i]}, {g.dst[i]}): length 1/w overflows double precision "
+                                   f"(w = {g.w[i]:.3g})")
+    lengths = csr_matrix((length, (g.src - 1, g.dst - 1)), shape=(n, n))
     dist = shortest_path(lengths, method="D", directed=True)
     if not np.all(np.isfinite(dist)):
         raise DisconnectedGraphError("graph is disconnected: some geodesic distances are infinite")
@@ -70,7 +78,7 @@ class InformationMatrix:
     kirchhoff_index: float
 
 
-def information_matrix(lap_mirror: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> InformationMatrix:
+def information_matrix(lap_mirror: np.ndarray) -> InformationMatrix:
     """The solve basis of a connected undirected graph's Laplacian L.
 
     With s = tr(L) / n^2, the mean weighted degree over n, L + s 11^T is
@@ -96,7 +104,7 @@ def information_matrix(lap_mirror: np.ndarray, tol: Tolerances = DEFAULT_TOL) ->
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
         x = factor_inv.T @ factor_inv - 1.0 / (s * n**2)
         x = (x + x.T) / 2.0
-    rtol = tol.group_inverse_rtol
+    rtol = DEFAULT_TOL.group_inverse_rtol
     x_scale = float(np.abs(x).max())
     lx = lap @ x
     # the graph is connected here: a failure means the weights' range defeats double precision
@@ -106,9 +114,7 @@ def information_matrix(lap_mirror: np.ndarray, tol: Tolerances = DEFAULT_TOL) ->
         and float(np.abs(x @ lx - x).max()) <= rtol * x_scale
         and float(np.abs(lx - x @ lap).max()) <= rtol * scale * x_scale
     ):
-        weights = -lap[lap < 0.0]
-        raise DdmnetError("cannot factor the mirror Laplacian in double precision: edge weights "
-                          f"lie in [{weights.min():.3g}, {weights.max():.3g}]")
+        raise DdmnetError(f"cannot factor the mirror Laplacian in double precision: {weight_range(lap)}")
 
     diag = np.diag(x)
     resistance = diag[:, None] + diag[None, :] - 2.0 * x
@@ -149,19 +155,19 @@ class CentralityReport:
         ]
 
 
-def rank_nodes(scores: tuple[float, ...] | list[float] | np.ndarray,
-               tie_decimals: int = DEFAULT_TOL.rank_decimals) -> tuple[int, ...]:
+def rank_nodes(scores: tuple[float, ...] | list[float] | np.ndarray) -> tuple[int, ...]:
     """Node order by descending score; ties break by ascending node index.
 
     Scores are divided by 2^e <= max finite |score| < 2^(e+1), which is
-    exact, and rounded to `tie_decimals` decimals, so that exact mathematical
-    ties perturbed by float noise collapse back into ties and break
-    identically whichever route produced the scores, at any weight scale.
+    exact, and rounded to DEFAULT_TOL.rank_decimals decimals, so that exact
+    mathematical ties perturbed by float noise collapse back into ties and
+    break identically whichever route produced the scores, at any weight
+    scale.
     Infinite scores sort first.
     """
     arr = np.asarray(scores, dtype=float)
     top = float(np.abs(arr[np.isfinite(arr)]).max(initial=0.0))
-    rounded = np.round(np.ldexp(arr, 1 - math.frexp(top)[1]), tie_decimals)
+    rounded = np.round(np.ldexp(arr, 1 - math.frexp(top)[1]), DEFAULT_TOL.rank_decimals)
     order = sorted(range(len(rounded)), key=lambda k: (-rounded[k], k))
     return tuple(k + 1 for k in order)
 
@@ -183,8 +189,8 @@ def information_scores(info: InformationMatrix) -> tuple[tuple[float, ...], tupl
     return harmonic, tuple(float(v) for v in off.sum(axis=1) / (n - 1))
 
 
-def information_centrality(g: WeightedDigraph, info: InformationMatrix, variant: str = "harmonic",
-                           tol: Tolerances = DEFAULT_TOL) -> CentralityReport:
+def information_centrality(g: WeightedDigraph, info: InformationMatrix,
+                           variant: str = "harmonic") -> CentralityReport:
     """Full centrality report for a connected undirected graph: geodesic
     closeness next to both `information_scores` of `info`, the solve basis
     of g; `variant` selects which score orders the ranking.
@@ -198,7 +204,7 @@ def information_centrality(g: WeightedDigraph, info: InformationMatrix, variant:
         closeness=closeness,
         info_harmonic=harmonic,
         info_arithmetic=arithmetic,
-        ranking=rank_nodes(scores, tol.rank_decimals),
+        ranking=rank_nodes(scores),
         ranked_by=variant,
     )
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .errors import DdmnetError, GraphValidationError, NotNormalError, NotStronglyConnectedError
-from .graph import is_normal, normality_residual, strongly_connected
+from .graph import normality, strongly_connected, weight_range
 from .lazyscipy import scipy_linalg
 
 INFINITE_CERTAINTY = math.inf
@@ -54,7 +54,6 @@ class SpectralData:
 
     eigenvalues: np.ndarray  # complex, shape (n,)
     vectors: np.ndarray  # complex unitary, shape (n, n), columns are eigenvectors
-    consensus_mode_verified: bool
 
     @property
     def n(self) -> int:
@@ -100,7 +99,7 @@ def _report_from_inv_mu(inv_mu: np.ndarray, route: str, kirchhoff: float, sigma:
     )
 
 
-def spectral_decompose(lap: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
+def spectral_decompose(lap: np.ndarray) -> SpectralData:
     """Unitary eigendecomposition of a normal, strongly connected Laplacian.
 
     Symmetric inputs use a real symmetric eigensolver; normal non-symmetric
@@ -108,16 +107,16 @@ def spectral_decompose(lap: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectr
     diagonal (to roundoff) exactly when the matrix is normal. The zero mode
     is moved to position 0 and its eigenvector pinned to (1/sqrt(n)) * ones.
 
-    Raises NotNormalError / NotStronglyConnectedError when the premises fail.
+    Raises NotNormalError / NotStronglyConnectedError when the premises fail,
+    and GraphValidationError where the normality test overflows.
     """
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[0]
     if n == 0 or lap.shape != (n, n):
         raise GraphValidationError(f"Laplacian must be a non-empty square matrix, got shape {lap.shape}")
-    if not is_normal(lap, tol):
-        raise NotNormalError(
-            f"Laplacian is not normal: commutator residual {normality_residual(lap):.3e}"
-        )
+    residual, normal = normality(lap)
+    if not normal:
+        raise NotNormalError(f"Laplacian is not normal: commutator residual {residual:.3e}")
     off = lap.copy()
     np.fill_diagonal(off, 0.0)
     bad = np.argwhere(~(np.isfinite(off) & (off <= 0.0)))
@@ -127,14 +126,14 @@ def spectral_decompose(lap: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectr
                                    f"weight must be finite and > 0, got {-float(lap[k, j])}")
     if not strongly_connected(n, *np.nonzero(off)):
         raise NotStronglyConnectedError("graph is not strongly connected")
-    return _eigensystem(lap, tol)
+    return _eigensystem(lap)
 
 
-def _eigensystem(lap: np.ndarray, tol: Tolerances) -> SpectralData:
+def _eigensystem(lap: np.ndarray) -> SpectralData:
     """spectral_decompose on a Laplacian known to be normal and strongly connected."""
     n = lap.shape[0]
     scale = max(1.0, float(np.linalg.norm(lap, "fro")))
-    if np.allclose(lap, lap.T, atol=tol.normality_rtol * scale):
+    if np.allclose(lap, lap.T, atol=DEFAULT_TOL.normality_rtol * scale):
         eigvals_r, vecs_r = np.linalg.eigh(lap)
         eigvals = eigvals_r.astype(complex)
         vecs = vecs_r.astype(complex)
@@ -151,7 +150,7 @@ def _eigensystem(lap: np.ndarray, tol: Tolerances) -> SpectralData:
     eigvals = eigvals[order]
     vecs = vecs[:, order]
 
-    if abs(eigvals[0]) > tol.eigen_residual_rtol * scale:
+    if abs(eigvals[0]) > DEFAULT_TOL.eigen_residual_rtol * scale:
         raise NotStronglyConnectedError(f"no eigenvalue near zero (closest: {eigvals[0]:.3e})")
     consensus = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
     overlap = complex(np.vdot(vecs[:, 0], consensus))
@@ -160,19 +159,19 @@ def _eigensystem(lap: np.ndarray, tol: Tolerances) -> SpectralData:
     eigvals[0] = 0.0
     vecs[:, 0] = consensus
 
-    data = SpectralData(eigenvalues=eigvals, vectors=vecs, consensus_mode_verified=True)
-    _validate_spectral(lap, data, tol)
+    data = SpectralData(eigenvalues=eigvals, vectors=vecs)
+    _validate_spectral(lap, data)
     return data
 
 
-def _validate_spectral(lap: np.ndarray, data: SpectralData, tol: Tolerances) -> None:
+def _validate_spectral(lap: np.ndarray, data: SpectralData) -> None:
     n = data.n
     gram = data.vectors.conj().T @ data.vectors
-    if float(np.abs(gram - np.eye(n)).max()) > tol.unitary_atol:
+    if float(np.abs(gram - np.eye(n)).max()) > DEFAULT_TOL.unitary_atol:
         raise NotNormalError("eigenvector matrix is not unitary within tolerance")
     residual = float(np.linalg.norm(lap @ data.vectors - data.vectors * data.eigenvalues, "fro"))
     scale = max(1.0, float(np.linalg.norm(lap, "fro")))
-    if residual > tol.eigen_residual_rtol * scale:
+    if residual > DEFAULT_TOL.eigen_residual_rtol * scale:
         raise NotNormalError(f"eigenpair residual {residual:.3e} exceeds tolerance")
     if n > 1 and float(data.eigenvalues[1:].real.min()) <= 0.0:
         raise NotStronglyConnectedError("nonzero eigenvalue with nonpositive real part")
@@ -215,8 +214,16 @@ def variance_envelope(params: ModelParams, n: int, t: float) -> tuple[float, flo
     return params.beta * t, params.sigma**2 * t / n, params.sigma**2 * t
 
 
-def _covariance_from_spectrum(data: SpectralData, params: ModelParams, t: float,
-                              tol: Tolerances) -> np.ndarray:
+def _check_time(t: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
+
+
+def spectral_covariance(data: SpectralData, params: ModelParams, t: float) -> np.ndarray:
+    """State covariance at time t from zero initial conditions, by the eigenmode
+    closed form of a normal, strongly connected Laplacian's spectrum `data`:
+    sigma^2 U diag(t, (1 - e^{-2 Re lambda_p t}) / (2 Re lambda_p)) U^*."""
+    _check_time(t)
     n = data.n
     gdiag = np.empty(n)
     gdiag[0] = t
@@ -225,10 +232,16 @@ def _covariance_from_spectrum(data: SpectralData, params: ModelParams, t: float,
         gdiag[1:] = -np.expm1(-2.0 * re * t) / (2.0 * re)
     cov = (data.vectors * gdiag) @ data.vectors.conj().T
     imag_max = float(np.abs(cov.imag).max())
-    if imag_max > tol.imaginary_atol * max(1.0, float(np.abs(cov.real).max())):
+    if imag_max > DEFAULT_TOL.imaginary_atol * max(1.0, float(np.abs(cov.real).max())):
         raise NotNormalError(f"covariance has imaginary residue {imag_max:.3e}")
     cov = params.sigma**2 * cov.real
     return (cov + cov.T) / 2.0
+
+
+def _require_finite(lap: np.ndarray, t: float, *arrays: np.ndarray) -> None:
+    """Raise DdmnetError where a propagator or covariance at time t is not finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DdmnetError(f"the covariance at t = {t:.6g} overflows double precision: {weight_range(lap)}")
 
 
 def _covariance_step(lap: np.ndarray, sigma2: float, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -238,6 +251,7 @@ def _covariance_step(lap: np.ndarray, sigma2: float, t: float) -> tuple[np.ndarr
     tau = t / 2^k with ||L||_inf tau <= 1, then k doublings
     P <- P + Phi P Phi^T, Phi <- Phi^2. The block holds expm(+L tau), which
     overflows over long spans, so it is only ever taken on the short step.
+    Raises DdmnetError where the pair is not finite.
     """
     n = lap.shape[0]
     scaled = float(np.abs(lap).sum(axis=1).max()) * t
@@ -249,48 +263,75 @@ def _covariance_step(lap: np.ndarray, sigma2: float, t: float) -> tuple[np.ndarr
     block[:n, :n] = lap * tau
     block[:n, n:] = sigma2 * tau * np.eye(n)
     block[n:, n:] = -lap.T * tau
-    e = scipy_linalg().expm(block)
-    phi = e[n:, n:].T
-    p = phi @ e[:n, n:]
-    for _ in range(k):
-        p = p + phi @ p @ phi.T
-        phi = phi @ phi
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = scipy_linalg().expm(block)
+        phi = e[n:, n:].T
+        p = phi @ e[:n, n:]
+        for _ in range(k):
+            p = p + phi @ p @ phi.T
+            phi = phi @ phi
+    _require_finite(lap, t, phi, p)
     return phi, (p + p.T) / 2.0
 
 
-def analytic_covariance(lap: np.ndarray, params: ModelParams, t: float, mode: str = "general",
-                        tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """State covariance at time t from zero initial conditions.
+def analytic_covariance(lap: np.ndarray, params: ModelParams, t: float) -> np.ndarray:
+    """State covariance at time t from zero initial conditions, for any digraph.
 
-    mode "normal" evaluates the eigenmode closed form (requires a normal,
-    strongly connected Laplacian); mode "general" propagates the covariance
-    ODE exactly with a Van Loan block exponential plus doubling and works for
-    any digraph, including ones whose Laplacian is defective. Its relative
-    error grows like machine epsilon times ||L|| t.
+    Propagates the covariance ODE exactly with a Van Loan block exponential
+    plus doubling (`_covariance_step`), including Laplacians that are
+    defective. Its relative error grows like machine epsilon times ||L|| t.
+    `spectral_covariance` is the eigenmode closed form for normal Laplacians.
     """
     lap = np.asarray(lap, dtype=float)
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    if mode == "normal":
-        data = spectral_decompose(lap, tol)
-        return _covariance_from_spectrum(data, params, t, tol)
-    if mode == "general":
-        if t == 0.0:
-            return np.zeros(lap.shape)
-        return _covariance_step(lap, params.sigma**2, t)[1]
-    raise ValueError(f"unknown mode {mode!r}; expected 'normal' or 'general'")
+    _check_time(t)
+    if t == 0.0:
+        return np.zeros(lap.shape)
+    return _covariance_step(lap, params.sigma**2, t)[1]
 
 
-def _covariance_walk(phi: np.ndarray, p_step: np.ndarray) -> Iterator[np.ndarray]:
-    """P(tau), P(2 tau), ... from the step pair (Phi, P_step) of _covariance_step(lap, sigma2, tau).
+def _covariance_walk(lap: np.ndarray, phi: np.ndarray, p_step: np.ndarray,
+                     t_step: float) -> Iterator[np.ndarray]:
+    """P(t_step), P(2 t_step), ... from the step pair (Phi, P_step) of
+    _covariance_step(lap, sigma2, t_step).
 
-    P((i + 1) tau) = Phi P(i tau) Phi^T + P_step is exact, so one step pair
-    serves a whole uniform grid.
+    P((i + 1) t_step) = Phi P(i t_step) Phi^T + P_step is exact, so one step
+    pair serves a whole uniform grid. Raises DdmnetError at the first P that
+    is not finite.
     """
-    p = p_step
+    p, t = p_step, t_step
     while True:
         yield p
-        p = phi @ p @ phi.T + p_step
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = phi @ p @ phi.T + p_step
+        t += t_step
+        _require_finite(lap, t, p)
+
+
+def _covariance_doubled(lap: np.ndarray, phi: np.ndarray, p: np.ndarray, t: float,
+                        k: int) -> tuple[float, np.ndarray]:
+    """(2^k t, P(2^k t)) from the step pair (Phi, P) of _covariance_step(lap, sigma2, t).
+
+    The k doublings P <- P + Phi P Phi^T, Phi <- Phi^2 carry Phi as its
+    deviation E = Phi - I, with E's diagonal the negated off-diagonal row sum
+    (the rows of expm(-L t) sum to 1). Where ||L|| t is far below 1, Phi rounds
+    to I and the dynamics survive only in E. Raises DdmnetError where the time
+    or P overflows.
+    """
+    try:
+        t_late = math.ldexp(t, k)
+    except OverflowError:
+        raise DdmnetError(f"the covariance at t = {t:.6g} * 2^{k} overflows double precision: "
+                          f"{weight_range(lap)}") from None
+    e = phi.copy()
+    np.fill_diagonal(e, 0.0)
+    np.fill_diagonal(e, -e.sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            phi_p = p + e @ p
+            p = p + phi_p + phi_p @ e.T
+            e = 2.0 * e + e @ e
+    _require_finite(lap, t_late, p)
+    return t_late, p
 
 
 def covariance_curves(lap: np.ndarray, params: ModelParams, t_step: float, count: int) -> np.ndarray:
@@ -308,7 +349,7 @@ def covariance_curves(lap: np.ndarray, params: ModelParams, t_step: float, count
         raise ValueError(f"count must be >= 1, got {count}")
     out = np.zeros((count, lap.shape[0]))
     if count > 1:
-        walk = _covariance_walk(*_covariance_step(lap, params.sigma**2, t_step))
+        walk = _covariance_walk(lap, *_covariance_step(lap, params.sigma**2, t_step), t_step)
         for row, p in zip(out[1:], walk):
             row[:] = np.diag(p)
     return out

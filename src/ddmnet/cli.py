@@ -238,7 +238,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     cov_gaps = {}
     for t in check_times:
         try:
-            general = analytic_covariance(req.lap, params, t, "general")
+            general = analytic_covariance(req.lap, params, t)
         except ValueError as exc:
             raise ValueError(f"--times {t}: {exc}") from exc
         gap = float(np.abs(closed_form_covariance(spec, params, t) - general).max())
@@ -272,7 +272,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     csv_rows = []
     for t in sample_times:
         moments = empirical_moments(ensemble, t)
-        target = analytic_covariance(req.lap, params, t, "general")
+        target = analytic_covariance(req.lap, params, t)
         target_mean = np.full(g.n, params.beta * t)
         validation = validate_moments(moments, target, gate=args.gate,
                                       target_mean=target_mean)

@@ -1,8 +1,8 @@
 """Centralized numerical tolerances.
 
-Every module takes its defaults from a single `Tolerances` record so the
-thresholds used by validation, route cross-checks and report generation can
-be audited (and overridden) in one place.
+Every module reads the thresholds used by validation, route cross-checks and
+report generation from the one `DEFAULT_TOL` record, where it needs them, so
+they can be audited in one place. No function takes a per-call override.
 """
 
 from __future__ import annotations

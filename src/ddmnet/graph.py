@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .errors import GraphFormatError, GraphValidationError
 
 
@@ -66,12 +66,12 @@ class WeightedDigraph:
         a[self.src - 1, self.dst - 1] = self.w
         return a
 
-    def is_undirected(self, rtol: float = 1e-12) -> bool:
-        """True if every edge has a reverse edge of equal weight."""
+    def is_undirected(self) -> bool:
+        """True if every edge has a reverse edge of equal weight, to 1e-12 relative."""
         # ordered by (dst, src), the reverse of arc i sits at rev[i] exactly when every arc has one
         rev = np.lexsort((self.src, self.dst))
         return (np.array_equal(self.dst[rev], self.src) and np.array_equal(self.src[rev], self.dst)
-                and bool(np.all(np.abs(self.w[rev] - self.w) <= rtol * np.maximum(1.0, self.w))))
+                and bool(np.all(np.abs(self.w[rev] - self.w) <= 1e-12 * np.maximum(1.0, self.w))))
 
 
 @dataclass(frozen=True)
@@ -266,9 +266,26 @@ def normality_residual(lap: np.ndarray) -> float:
     return float(np.linalg.norm(lap @ lap.T - lap.T @ lap, "fro"))
 
 
-def is_normal(lap: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    scale = max(1.0, float(np.linalg.norm(lap, "fro")) ** 2)
-    return normality_residual(lap) <= tol.normality_rtol * scale
+def weight_range(lap: np.ndarray) -> str:
+    """'edge weights lie in [min, max]' over the arcs of a Laplacian, for overflow messages."""
+    weights = -lap[lap < 0.0]
+    if not weights.size:
+        return "the graph has no edges"
+    return f"edge weights lie in [{weights.min():.3g}, {weights.max():.3g}]"
+
+
+def normality(lap: np.ndarray) -> tuple[float, bool]:
+    """(||L L^T - L^T L||_F, normal), where normal means the commutator is at most
+    DEFAULT_TOL.normality_rtol * max(1, ||L||_F^2).
+
+    Raises GraphValidationError where the commutator or ||L||_F^2 overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = normality_residual(lap)
+        lap_norm2 = float(np.linalg.norm(lap, "fro") ** 2)
+    if not (math.isfinite(residual) and math.isfinite(lap_norm2)):
+        raise GraphValidationError(f"the normality test overflows double precision: {weight_range(lap)}")
+    return residual, residual <= DEFAULT_TOL.normality_rtol * max(1.0, lap_norm2)
 
 
 def _reaches_every_node(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
@@ -310,30 +327,24 @@ def is_strongly_connected(g: WeightedDigraph) -> bool:
     return strongly_connected(g.n, g.src - 1, g.dst - 1)
 
 
-def classify(g: WeightedDigraph, tol: Tolerances = DEFAULT_TOL) -> GraphProfile:
+def classify(g: WeightedDigraph) -> GraphProfile:
     """Compute degrees and the balance / strong-connectivity / normality flags."""
-    return _classify(g, laplacian(g), tol)
+    return _classify(g, laplacian(g))
 
 
-def _classify(g: WeightedDigraph, lap: np.ndarray, tol: Tolerances) -> GraphProfile:
-    """classify(g, tol) on lap = laplacian(g). The degrees are bit-equal to the
+def _classify(g: WeightedDigraph, lap: np.ndarray) -> GraphProfile:
+    """classify(g) on lap = laplacian(g). The degrees are bit-equal to the
     adjacency's sums: the diagonal of lap is the out-degree (-0.0 for a node
     without out-arcs, hence + 0.0), and -lap off the diagonal is the adjacency."""
     out_deg = np.diag(lap) + 0.0
     adjacency = -lap
     np.fill_diagonal(adjacency, 0.0)
     in_deg = adjacency.sum(axis=0)
-    # an infinite degree sum means an infinite ||L||_F^2, which the check below reports
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an infinite degree sum means an infinite ||L||_F^2, which normality reports
+    with np.errstate(over="ignore"):
         scale = max(1.0, float(np.max(out_deg + in_deg, initial=0.0)))
-        residual = normality_residual(lap)
-        lap_norm2 = float(np.linalg.norm(lap, "fro") ** 2)
-    if not (math.isfinite(residual) and math.isfinite(lap_norm2)):
-        weights = -lap[lap < 0.0]
-        raise GraphValidationError("the normality test overflows double precision: edge weights "
-                                   f"lie in [{weights.min():.3g}, {weights.max():.3g}]")
-    balanced = bool(np.all(np.abs(out_deg - in_deg) <= tol.balance_rtol * scale))
-    normal = residual <= tol.normality_rtol * max(1.0, lap_norm2)
+    residual, normal = normality(lap)
+    balanced = bool(np.all(np.abs(out_deg - in_deg) <= DEFAULT_TOL.balance_rtol * scale))
     return GraphProfile(
         out_degree=tuple(float(d) for d in out_deg),
         in_degree=tuple(float(d) for d in in_deg),

@@ -1,4 +1,4 @@
-"""One request: a graph, its parameters and tolerances, and each stage a command
+"""One request: a graph, its parameters, and each stage a command
 or the verify suite reads from them, built on first use and at most once."""
 
 from __future__ import annotations
@@ -17,16 +17,14 @@ from .certainty import (
     certainty_spectral,
     spectral_decompose,
 )
-from .config import DEFAULT_TOL, Tolerances
 from .graph import GraphProfile, WeightedDigraph, _classify, laplacian, mirror_graph
 
 
 class Request:
     """The stages of one analysis of `g`, each a cached property."""
 
-    def __init__(self, g: WeightedDigraph, params: ModelParams = ModelParams(),
-                 tol: Tolerances = DEFAULT_TOL) -> None:
-        self.g, self.params, self.tol = g, params, tol
+    def __init__(self, g: WeightedDigraph, params: ModelParams = ModelParams()) -> None:
+        self.g, self.params = g, params
 
     @cached_property
     def lap(self) -> np.ndarray:
@@ -34,7 +32,7 @@ class Request:
 
     @cached_property
     def profile(self) -> GraphProfile:
-        return _classify(self.g, self.lap, self.tol)
+        return _classify(self.g, self.lap)
 
     @cached_property
     def mirror(self) -> WeightedDigraph:
@@ -48,13 +46,13 @@ class Request:
     def spectral(self) -> SpectralData:
         """spectral_decompose(lap), whose premises the profile decides by the same criteria."""
         if not (self.profile.normal_laplacian and self.profile.strongly_connected):
-            return spectral_decompose(self.lap, self.tol)  # raises the premise that fails
-        return _eigensystem(self.lap, self.tol)
+            return spectral_decompose(self.lap)  # raises the premise that fails
+        return _eigensystem(self.lap)
 
     @cached_property
     def info(self) -> InformationMatrix:
         """The mirror's solve basis; DisconnectedGraphError on a disconnected mirror."""
-        return information_matrix(self.lap_mirror, self.tol)
+        return information_matrix(self.lap_mirror)
 
     @cached_property
     def harmonic(self) -> tuple[float, ...]:

@@ -57,6 +57,8 @@ PANEL_STEPS = 250
 MAX_STEPS = 10**8
 
 _GRID_RTOL = 1e-9
+_OFFDIAG_GATE = 5.0
+_MEAN_GATE = 3.0
 
 
 @dataclass(frozen=True)
@@ -281,15 +283,13 @@ def empirical_moments(ensemble: Ensemble, t: float) -> MomentReport:
                         se_mean=se_mean, se_covariance=se_cov)
 
 
-def validate_moments(report: MomentReport, target_covariance: np.ndarray,
-                     gate: float = 4.0, offdiag_gate: float = 5.0,
-                     target_mean: np.ndarray | None = None,
-                     mean_gate: float = 3.0) -> MomentValidation:
+def validate_moments(report: MomentReport, target_covariance: np.ndarray, gate: float = 4.0,
+                     target_mean: np.ndarray | None = None) -> MomentValidation:
     """Z-score the empirical moments against analytic targets.
 
     The verdict fails iff a diagonal z-score exceeds `gate` (or, when a mean
-    target is supplied, a mean z-score exceeds `mean_gate`). Off-diagonal
-    entries are noisier: exceedances of `offdiag_gate` are reported as
+    target is supplied, a mean z-score exceeds _MEAN_GATE = 3). Off-diagonal
+    entries are noisier: exceedances of _OFFDIAG_GATE = 5 are reported as
     warnings without failing the validation.
     """
     target_covariance = np.asarray(target_covariance, dtype=float)
@@ -307,7 +307,7 @@ def validate_moments(report: MomentReport, target_covariance: np.ndarray,
             failures.append(f"Var(x_{k + 1}) off target: z = {z_cov[k, k]:+.2f} (gate {gate})")
     for k in range(n):
         for j in range(k + 1, n):
-            if abs(z_cov[k, j]) > offdiag_gate:
+            if abs(z_cov[k, j]) > _OFFDIAG_GATE:
                 warnings.append(f"Cov(x_{k + 1}, x_{j + 1}) off target: z = {z_cov[k, j]:+.2f}")
     z_mean = None
     if target_mean is not None:
@@ -317,8 +317,8 @@ def validate_moments(report: MomentReport, target_covariance: np.ndarray,
         z_mean = np.where(report.se_mean > 0, z_mean,
                           np.where(report.mean == target_mean, 0.0, math.inf))
         for k in range(n):
-            if abs(z_mean[k]) > mean_gate:
-                failures.append(f"mean(x_{k + 1}) off target: z = {z_mean[k]:+.2f} (gate {mean_gate})")
+            if abs(z_mean[k]) > _MEAN_GATE:
+                failures.append(f"mean(x_{k + 1}) off target: z = {z_mean[k]:+.2f} (gate {_MEAN_GATE})")
     return MomentValidation(
         passed=not failures,
         z_covariance=z_cov,

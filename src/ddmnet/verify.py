@@ -16,16 +16,16 @@ import numpy as np
 
 from .centrality import path_oracle_pairs, rank_nodes
 from .certainty import (
-    ModelParams,
-    _covariance_from_spectrum,
+    _covariance_doubled,
     _covariance_step,
     _covariance_walk,
     dispersion_summary,
+    spectral_covariance,
     variance_envelope,
 )
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .errors import DisconnectedGraphError, PathCapExceededError
-from .graph import WeightedDigraph, laplacian_row_residual, mirror_graph
+from .graph import laplacian_row_residual, mirror_graph
 from .request import Request
 from .simulate import SimConfig, simulate_ensemble
 
@@ -45,16 +45,12 @@ def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def run_checks(g: WeightedDigraph | Request, params: ModelParams | None = None,
-               tol: Tolerances = DEFAULT_TOL, oracle_cap: int = 8) -> list[CheckResult]:
-    """Run the full invariant suite against one graph.
-
-    `g` is the graph, or a Request on it whose stages the caller shares; a
-    Request brings its own parameters and tolerances in place of `params` and
-    `tol`. The path oracle runs when 1 < n <= `oracle_cap`.
+def run_checks(req: Request, oracle_cap: int = 8) -> list[CheckResult]:
+    """Run the full invariant suite against the graph and parameters of `req`,
+    sharing its stages with the caller. The path oracle runs when
+    1 < n <= `oracle_cap`.
     """
-    req = g if isinstance(g, Request) else Request(g, params or ModelParams(), tol)
-    g, params, tol = req.g, req.params, req.tol
+    g, params = req.g, req.params
     lap, profile, mirror = req.lap, req.profile, req.mirror
     results: list[CheckResult] = []
 
@@ -85,8 +81,8 @@ def run_checks(g: WeightedDigraph | Request, params: ModelParams | None = None,
     t_small = 1e-6
     phi_small, cov_small = _covariance_step(lap, params.sigma**2, t_small)
     phi_half, p_half = _covariance_step(lap, params.sigma**2, 0.5)
-    cov_general = {0.5 * i: p for i, p in enumerate(islice(_covariance_walk(phi_half, p_half), 10), 1)
-                   if i in (1, 4, 10)}
+    walk = _covariance_walk(lap, phi_half, p_half, 0.5)
+    cov_general = {0.5 * i: p for i, p in enumerate(islice(walk, 10), 1) if i in (1, 4, 10)}
 
     # propagator of the dynamics is row-stochastic at every horizon
     worst = 0.0
@@ -104,11 +100,11 @@ def run_checks(g: WeightedDigraph | Request, params: ModelParams | None = None,
                            ("route-spectral-vs-centrality", spectral_report, centrality_report),
                            ("route-group-inverse-vs-centrality", group_report, centrality_report)):
             gap = max(_rel_gap(x, y) for x, y in zip(a.inv_mu, b.inv_mu))
-            record(name, PASS if gap <= tol.route_agreement_rtol else FAIL, f"max per-node gap = {gap:.2e}")
+            record(name, PASS if gap <= DEFAULT_TOL.route_agreement_rtol else FAIL,
+                   f"max per-node gap = {gap:.2e}")
 
         # ranking by certainty == ranking by information centrality
-        same = (rank_nodes(spectral_report.mu, tol.rank_decimals)
-                == rank_nodes(req.harmonic, tol.rank_decimals))
+        same = rank_nodes(spectral_report.mu) == rank_nodes(req.harmonic)
         record("ranking-certainty-vs-info-centrality", PASS if same else FAIL)
 
         disp = dispersion_summary(spectral_report, req.info.kirchhoff_index)
@@ -149,19 +145,20 @@ def run_checks(g: WeightedDigraph | Request, params: ModelParams | None = None,
         record("covariance-envelope-bounds", SKIP, "lower bound needs strong connectivity")
 
     if req.routes and g.n > 1:
-        data = req.spectral
-        rate = float(data.eigenvalues[1:].real.min())
-        t_late = 12.0 / rate  # e^{-2 rate t} < 4e-11: transient is below tolerance
-        var_late = np.diag(_covariance_from_spectrum(data, params, t_late, tol))
-        target = params.sigma**2 * t_late / g.n + np.asarray(spectral_report.inv_mu)
-        gap_late = float(np.abs(var_late - target).max())
+        # the propagator's step pair at t = 0.5, doubled to t = 0.5 * 2^k >= 12 / rate,
+        # where e^{-2 rate t} < 4e-11: the transient is below tolerance
+        rate = float(req.spectral.eigenvalues[1:].real.min())
+        k = max(0, math.ceil(math.log2(24.0) - math.log2(rate)))
+        t_late, p_late = _covariance_doubled(lap, phi_half, p_half, 0.5, k)
+        offset = np.diag(p_late) - params.sigma**2 * t_late / g.n
+        gap_late = float(np.abs(offset - np.asarray(spectral_report.inv_mu)).max())
         record("covariance-large-time-plateau", PASS if gap_late <= 1e-9 * max(1.0, t_late) else FAIL,
                f"max gap = {gap_late:.2e} at t = {t_late:.2f}")
 
-        cov_normal = _covariance_from_spectrum(data, params, 2.0, tol)
+        cov_normal = spectral_covariance(req.spectral, params, 2.0)
         gap_modes = float(np.abs(cov_normal - cov_general[2.0]).max())
-        record("covariance-normal-vs-integrated", PASS if gap_modes <= tol.covariance_cross_atol else FAIL,
-               f"max gap = {gap_modes:.2e}")
+        record("covariance-normal-vs-integrated",
+               PASS if gap_modes <= DEFAULT_TOL.covariance_cross_atol else FAIL, f"max gap = {gap_modes:.2e}")
     else:
         record("covariance-large-time-plateau", SKIP, "needs a normal, strongly connected graph")
         record("covariance-normal-vs-integrated", SKIP, "needs a normal, strongly connected graph")
@@ -193,7 +190,7 @@ def run_checks(g: WeightedDigraph | Request, params: ModelParams | None = None,
         except PathCapExceededError as exc:
             record("path-oracle-vs-matrix-information", SKIP, str(exc))
         else:
-            atol = tol.oracle_agreement_atol
+            atol = DEFAULT_TOL.oracle_agreement_atol
             worst_pair = max(0.0, *(abs(e["information_paths"] - e["information_matrix"]) for e in entries))
             deviating = [e["pair"] for e in entries
                          if e["information_paths_orientation_blind"] is None

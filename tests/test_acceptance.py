@@ -41,6 +41,7 @@ from ddmnet import (
     mirror_graph,
     rank_nodes,
     simulate_ensemble,
+    spectral_covariance,
     spectral_decompose,
 )
 from ddmnet.cli import main as cli_main
@@ -173,7 +174,7 @@ def test_criterion_5_family_covariances_vs_integration():
                     lap = laplacian(make_family(spec))
                     for t in (0.1, 1.0, 5.0):
                         gap = np.abs(closed_form_covariance(spec, PARAMS, t)
-                                     - analytic_covariance(lap, PARAMS, t, "general")).max()
+                                     - analytic_covariance(lap, PARAMS, t)).max()
                         assert gap < 1e-6, (kind, n, alpha, t, gap)
 
 
@@ -210,7 +211,7 @@ def test_criterion_7_monte_carlo_validation():
         cfg_a = SimConfig(PARAMS, t_max=5.0, step=1e-3, trajectories=100_000, seed=20240601,
                           sample_times=(5.0,))
         moments = empirical_moments(simulate_ensemble(g, cfg_a), 5.0)
-        target = analytic_covariance(lap, PARAMS, 5.0, "normal")
+        target = spectral_covariance(spectral_decompose(lap), PARAMS, 5.0)
         for k in range(5):
             z = (moments.covariance[k, k] - target[k, k]) / moments.se_covariance[k, k]
             assert abs(z) <= 4.0, f"node {k + 1} variance z-score {z:.2f}"
@@ -261,7 +262,7 @@ def test_criterion_8_non_normal_stars():
                 assert abs(cov[0, 0] - expected) <= 1e-9
                 integrated = analytic_covariance(
                     laplacian(make_family(FamilySpec("exploding_star", n, alpha))),
-                    PARAMS, t, "general")
+                    PARAMS, t)
                 assert abs(cov[0, 0] - integrated[0, 0]) <= 1e-6
 
         # strong coupling pins the center to the leaf average

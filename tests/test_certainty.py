@@ -21,6 +21,7 @@ from ddmnet import (
     make_family,
     mirror_graph,
     permute_graph,
+    spectral_covariance,
     spectral_decompose,
     variance_envelope,
 )
@@ -182,17 +183,17 @@ class TestGroupInverse:
 class TestAnalyticCovariance:
     def test_zero_time_is_zero(self, benchmark_graph):
         lap = laplacian(benchmark_graph)
-        for mode in ("normal", "general"):
-            assert np.all(analytic_covariance(lap, PARAMS, 0.0, mode) == 0.0)
+        assert np.all(analytic_covariance(lap, PARAMS, 0.0) == 0.0)
+        assert np.all(spectral_covariance(spectral_decompose(lap), PARAMS, 0.0) == 0.0)
 
     def test_single_node_is_sigma_squared_t(self):
         lap = laplacian(build_graph(1, []))
-        cov = analytic_covariance(lap, PARAMS, 3.0, "general")
+        cov = analytic_covariance(lap, PARAMS, 3.0)
         assert cov.shape == (1, 1) and cov[0, 0] == pytest.approx(3.0, abs=1e-12)
 
     def test_imploding_star_variances(self):
         g = build_graph(3, [(2, 1, 1.0), (3, 1, 1.0)])
-        cov = analytic_covariance(laplacian(g), PARAMS, 2.0, "general")
+        cov = analytic_covariance(laplacian(g), PARAMS, 2.0)
         leaf = 2.0 + 2 * math.exp(-2.0) - math.exp(-4.0) - 1.0
         assert cov[0, 0] == pytest.approx(2.0, abs=1e-9)
         assert cov[1, 1] == pytest.approx(leaf, abs=1e-9)
@@ -201,8 +202,8 @@ class TestAnalyticCovariance:
     def test_modes_agree_on_normal_graphs(self, benchmark_graph):
         lap = laplacian(benchmark_graph)
         for t in (0.1, 1.0, 5.0):
-            gap = np.abs(analytic_covariance(lap, PARAMS, t, "normal")
-                         - analytic_covariance(lap, PARAMS, t, "general")).max()
+            gap = np.abs(spectral_covariance(spectral_decompose(lap), PARAMS, t)
+                         - analytic_covariance(lap, PARAMS, t)).max()
             assert gap < 1e-6
 
     def test_general_mode_matches_quadrature_oracle(self):
@@ -211,14 +212,14 @@ class TestAnalyticCovariance:
         lap = laplacian(g)
         for t in (0.3, 1.7):
             oracle = covariance_by_quadrature(lap, 1.0, t)
-            ours = analytic_covariance(lap, PARAMS, t, "general")
+            ours = analytic_covariance(lap, PARAMS, t)
             assert np.abs(ours - oracle).max() < 1e-9
 
     def test_small_time_behaves_like_isolated_units(self, benchmark_graph):
         lap = laplacian(benchmark_graph)
         t = 1e-6
-        for mode in ("normal", "general"):
-            cov = analytic_covariance(lap, PARAMS, t, mode)
+        for cov in (spectral_covariance(spectral_decompose(lap), PARAMS, t),
+                    analytic_covariance(lap, PARAMS, t)):
             assert np.abs(cov - t * np.eye(5)).max() < 1e-9
 
     def test_diagonal_within_envelope(self):
@@ -228,7 +229,7 @@ class TestAnalyticCovariance:
             lap = laplacian(g)
             for t in (0.5, 2.0, 5.0):
                 _, lower, upper = variance_envelope(PARAMS, g.n, t)
-                var = np.diag(analytic_covariance(lap, PARAMS, t, "general"))
+                var = np.diag(analytic_covariance(lap, PARAMS, t))
                 assert np.all(var >= lower - 1e-9)
                 assert np.all(var <= upper + 1e-9)
 
@@ -236,15 +237,15 @@ class TestAnalyticCovariance:
         lap = laplacian(benchmark_graph)
         rep = certainty_spectral(spectral_decompose(lap), PARAMS)
         t = 12.0  # e^{-2 lambda_2 t} ~ 4e-15: decay term below 1e-10
-        var = np.diag(analytic_covariance(lap, PARAMS, t, "normal"))
+        var = np.diag(spectral_covariance(spectral_decompose(lap), PARAMS, t))
         assert np.abs(var - (t / 5 + np.asarray(rep.inv_mu))).max() < 1e-9
 
     def test_rejects_negative_time(self, benchmark_graph):
         with pytest.raises(ValueError):
-            analytic_covariance(laplacian(benchmark_graph), PARAMS, -1.0, "general")
+            analytic_covariance(laplacian(benchmark_graph), PARAMS, -1.0)
 
     def test_psd_and_symmetric(self, benchmark_graph):
-        cov = analytic_covariance(laplacian(benchmark_graph), PARAMS, 2.0, "general")
+        cov = analytic_covariance(laplacian(benchmark_graph), PARAMS, 2.0)
         assert np.allclose(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() > -1e-12
 
@@ -252,7 +253,7 @@ class TestAnalyticCovariance:
         lap = laplacian(benchmark_graph)
         grid = covariance_curves(lap, PARAMS, 0.5, 6)
         for i, t in enumerate(0.5 * np.arange(6)):
-            expected = np.diag(analytic_covariance(lap, PARAMS, float(t), "normal"))
+            expected = np.diag(spectral_covariance(spectral_decompose(lap), PARAMS, float(t)))
             assert np.allclose(grid[i], expected, atol=1e-10)
 
     def test_curves_general_route(self):
@@ -282,7 +283,7 @@ class TestAnalyticCovariance:
             lap = laplacian(g)
             grid = covariance_curves(lap, params, 0.05, times.size)
             for i, t in enumerate(times):
-                pointwise = np.diag(analytic_covariance(lap, params, float(t), "general"))
+                pointwise = np.diag(analytic_covariance(lap, params, float(t)))
                 assert np.abs(grid[i] - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
 
     def test_curves_compute_one_exponential_per_grid(self, benchmark_graph, expm_calls):
@@ -306,9 +307,10 @@ class TestAnalyticCovariance:
     def test_rejects_non_finite_time(self, benchmark_graph):
         lap = laplacian(benchmark_graph)
         for t in (math.inf, math.nan):
-            for mode in ("normal", "general"):
-                with pytest.raises(ValueError):
-                    analytic_covariance(lap, PARAMS, t, mode)
+            with pytest.raises(ValueError):
+                spectral_covariance(spectral_decompose(lap), PARAMS, t)
+            with pytest.raises(ValueError):
+                analytic_covariance(lap, PARAMS, t)
             with pytest.raises(ValueError):
                 closed_form_covariance(FamilySpec("complete", 5), PARAMS, t)
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -370,6 +371,29 @@ class TestGraphIO:
                            "edge weights lie in [1e+200, 1e+200]\n")
         assert out.out == ""
 
+    @pytest.mark.parametrize("argv", [["analyze", "{path}", "--format", "curves"], ["verify", "{path}"],
+                                      ["family", "complete:3:1e150"]])
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_weights_beyond_the_covariance_propagator_are_usage_error(self, argv, tmp_path, capsys):
+        # the normality test passes, but the Van Loan doubling overflows
+        path = write_graph(tmp_path, {"n": 3, "edges": [[1, 2, 1e150], [2, 3, 1e150], [1, 3, 1e150]],
+                                      "undirected": True})
+        code, out = run_cli(*(arg.format(path=path) for arg in argv), capsys=capsys)
+        assert code == 2
+        assert re.fullmatch(r"error: the covariance at t = \S+ overflows double precision: "
+                            r"edge weights lie in \[1e\+150, 1e\+150\]\n", out.err)
+        assert out.out == ""
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_closeness_length_overflow_is_usage_error(self, tmp_path, capsys):
+        # the mirror's weight (3e-320 + 5e-324)/2 is subnormal, and its length 1/w overflows
+        path = write_graph(tmp_path, {"n": 3, "edges": [[1, 2, 3e-320], [2, 1, 5e-324], [2, 3, 1.0],
+                                                        [3, 1, 1.0]]})
+        code, out = run_cli("centrality", path, capsys=capsys)
+        assert code == 2
+        assert out.err == "error: edge (1, 2): length 1/w overflows double precision (w = 1.5e-320)\n"
+        assert out.out == ""
+
     def test_malformed_weight_is_usage_error(self, tmp_path, capsys):
         path = write_graph(tmp_path, {"n": 2, "edges": [[1, 2, "x"]]})
         code, out = run_cli("analyze", path, capsys=capsys)
@@ -516,7 +540,7 @@ class TestBlasThreads:
         threads = json.loads(run_python(
             "import ddmnet\n"
             "lap = ddmnet.laplacian(ddmnet.five_node_benchmark())\n"
-            "ddmnet.analytic_covariance(lap, ddmnet.ModelParams(), 1.0, 'general')\n"
+            "ddmnet.analytic_covariance(lap, ddmnet.ModelParams(), 1.0)\n"
             + PRINT_BLAS_THREADS))
         assert threads == default
 

@@ -203,7 +203,7 @@ class TestClosedFormCovariance:
                 lap = laplacian(make_family(spec))
                 for t in (0.1, 1.0, 5.0, 500.0):
                     gap = np.abs(closed_form_covariance(spec, PARAMS, t)
-                                 - analytic_covariance(lap, PARAMS, t, "general")).max()
+                                 - analytic_covariance(lap, PARAMS, t)).max()
                     assert gap < 1e-6, (kind, n, t)
 
     def test_stars_match_general_route_to_roundoff(self):
@@ -214,7 +214,7 @@ class TestClosedFormCovariance:
                     lap = laplacian(make_family(spec))
                     for t in (1e-6, 0.1, 1.0, 5.0, 500.0):
                         closed = closed_form_covariance(spec, PARAMS, t)
-                        gap = np.abs(closed - analytic_covariance(lap, PARAMS, t, "general")).max()
+                        gap = np.abs(closed - analytic_covariance(lap, PARAMS, t)).max()
                         assert gap <= 1e-12 * np.abs(closed).max(), (kind, n, alpha, t)
 
     def test_zero_time(self):

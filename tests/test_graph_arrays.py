@@ -263,11 +263,11 @@ class TestAgainstReference:
         assert outcome(mirror_graph, mirror_graph(g)) == mirrored
 
     @settings(max_examples=200, deadline=None)
-    @given(symmetric_graphs(), st.sampled_from([1e-12, 1e-9, 0.0]))
-    def test_is_undirected(self, case, rtol):
+    @given(symmetric_graphs())
+    def test_is_undirected(self, case):
         n, edges = case
         g = build_graph(n, edges)
-        assert g.is_undirected(rtol) == ref_is_undirected(g.edges, rtol)
+        assert g.is_undirected() == ref_is_undirected(g.edges)
 
 
 class TestStrongConnectivity:

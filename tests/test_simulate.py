@@ -299,7 +299,7 @@ class TestValidation:
         # seeds run and at most 2 may fail: by chance that happens ~0.3 % of
         # the time, and an offset of 2 standard errors trips it more often
         # than it trips one run
-        target = analytic_covariance(laplacian(benchmark_graph), PARAMS, 1.0, "general")
+        target = analytic_covariance(laplacian(benchmark_graph), PARAMS, 1.0)
         failed = {}
         for seed in range(20):
             cfg = SimConfig(PARAMS, t_max=1.0, step=0.005, trajectories=20000, seed=seed,

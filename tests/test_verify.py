@@ -1,18 +1,19 @@
 import numpy as np
+import pytest
 
 from conftest import random_connected_graph
-from ddmnet import all_passed, build_graph, run_checks
+from ddmnet import DdmnetError, Request, all_passed, build_graph, run_checks
 
 
 def test_benchmark_suite_all_pass(benchmark_graph):
-    results = run_checks(benchmark_graph)
+    results = run_checks(Request(benchmark_graph))
     assert all_passed(results)
     assert all(r.status == "PASS" for r in results if r.name.startswith("route-"))
 
 
 def test_directed_ring_routes_apply():
     g = build_graph(5, [(k, k % 5 + 1, 1.0) for k in range(1, 6)])
-    results = run_checks(g)
+    results = run_checks(Request(g))
     assert all_passed(results)
     statuses = {r.name: r.status for r in results}
     assert statuses["route-spectral-vs-group-inverse"] == "PASS"
@@ -24,12 +25,12 @@ def test_random_undirected_graphs_pass():
     rng = np.random.default_rng(55)
     for _ in range(5):
         g = random_connected_graph(rng, int(rng.integers(2, 8)))
-        assert all_passed(run_checks(g))
+        assert all_passed(run_checks(Request(g)))
 
 
 def test_imploding_star_skips_and_passes():
     g = build_graph(4, [(k, 1, 1.0) for k in (2, 3, 4)])
-    results = run_checks(g)
+    results = run_checks(Request(g))
     assert all_passed(results)
     statuses = {r.name: r.status for r in results}
     assert statuses["spectral-route"] == "SKIP"
@@ -40,7 +41,7 @@ def test_imploding_star_skips_and_passes():
 def test_two_exponentials_per_run(benchmark_graph, expm_calls):
     # one Van Loan block at t = 1e-6 and one at the walk's step 0.5; the
     # row-stochastic check reuses their propagators
-    results = run_checks(benchmark_graph)
+    results = run_checks(Request(benchmark_graph))
     assert all_passed(results)
     assert expm_calls == [(10, 10), (10, 10)]
 
@@ -49,5 +50,14 @@ def test_no_geodesic_closeness(closeness_calls):
     # the centrality route needs only the information scores
     rng = np.random.default_rng(56)
     for g in (build_graph(5, [(k, k % 5 + 1, 1.0) for k in range(1, 6)]), random_connected_graph(rng, 7)):
-        assert all_passed(run_checks(g))
+        assert all_passed(run_checks(Request(g)))
     assert closeness_calls == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_plateau_time_beyond_the_float_range_is_an_error():
+    # Re lambda_2 = 9e-308 puts the plateau at 0.5 * 2^1025, which no double holds
+    g = build_graph(3, [(k, j, 3e-308) for k in (1, 2, 3) for j in (1, 2, 3) if k != j])
+    with pytest.raises(DdmnetError, match=r"^the covariance at t = 0\.5 \* 2\^1025 overflows double "
+                                          r"precision: edge weights lie in \[3e-308, 3e-308\]$"):
+        run_checks(Request(g))
