@@ -17,6 +17,7 @@ spectral route's `spectral_decompose`.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -42,6 +43,9 @@ class ModelParams:
             raise ValueError(f"beta must be finite, got {self.beta}")
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        if math.isinf(self.sigma * self.sigma):  # every route scales by sigma**2
+            raise ValueError(f"sigma^2 overflows double precision: sigma must be at most "
+                             f"{math.sqrt(sys.float_info.max):.6g}, got {self.sigma}")
 
 
 @dataclass(frozen=True, eq=False)

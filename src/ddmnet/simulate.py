@@ -7,8 +7,11 @@ Euler-Maruyama with additive noise:
 one independent SFC64 stream per trajectory, seeded by
 SeedSequence((seed, trajectory index)). Hashing the pair, rather than
 combining seed and index into one integer, keeps the streams of different
-seeds apart. Moments are accumulated streaming (one pass, O(n^2) memory
-independent of the trajectory count) in a fixed chunk order.
+seeds apart. `_stream_states` computes those seeds for a whole chunk in one
+vectorized pass of SeedSequence's hash (O'Neill's seed_seq mixing), bit for
+bit what numpy's SeedSequence gives one trajectory at a time. Moments are
+accumulated streaming (one pass, O(n^2) memory independent of the trajectory
+count) in a fixed chunk order.
 
 The step is linear, so a panel of S steps is one product: with
 M = (I - hL)^T acting on row states,
@@ -18,18 +21,22 @@ M = (I - hL)^T acting on row states,
 where block s of the stacked (S n, n) matrix K is sigma sqrt(h) M^(S-1-s).
 Panels end at every sample time and span at most PANEL_STEPS steps. K holds
 powers of I - hL, never the exact propagator, so the simulation stays an
-independent check of the covariance route.
+independent check of the covariance route. Building K costs span n^3 flops
+per chunk, on top of the batch span n^2 of the products, so where n rivals
+the chunk's batch `_takes_steps` has the chunk step instead, one product per
+step on the same panel of normals.
 
 Chunks of CHUNK_TRAJECTORIES trajectories run in a process pool with one
 worker per chunk, up to the number of CPUs this process may use; a single
 chunk or a single worker runs in-process. Every chunk runs numpy's BLAS on
 one thread, in the pool and in-process alike. The chunk size, the panel
-length and that thread count fix every rounding, so runs split across any
-number of workers produce bit-identical moment sums.
+length, the panel-or-step rule and that thread count fix every rounding, so
+runs split across any number of workers produce bit-identical moment sums.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -55,6 +62,15 @@ PANEL_STEPS = 250
 # is reported until every step is done, and at 1e8 steps one chunk of
 # CHUNK_TRAJECTORIES trajectories already runs for hours
 MAX_STEPS = 10**8
+
+# SeedSequence's constants (numpy.random.bit_generator): hashmix's xor key
+# starts at _HASH_INIT_A and is multiplied by _HASH_MULT_A before each use as
+# multiplier; generate_state does the same with B; mix combines two words
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_WORD = 0xFFFFFFFF
 
 _GRID_RTOL = 1e-9
 _OFFDIAG_GATE = 5.0
@@ -145,6 +161,131 @@ class MomentValidation:
     warnings: tuple[str, ...]
 
 
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's entropy words of a non-negative int: 32 bits each, least significant first."""
+    words = [value & _WORD]
+    while value > _WORD:
+        value >>= 32
+        words.append(value & _WORD)
+    return words
+
+
+def _hash_keys(first: int, mult: int, calls: int) -> np.ndarray:
+    """The keys of `calls` hash calls, first * mult^k mod 2^32 for k = 0 .. calls, as a uint32 column."""
+    keys = [first]
+    for _ in range(calls):
+        keys.append(keys[-1] * mult & _WORD)
+    return np.array(keys, dtype=np.uint32)[:, None]
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L
+    out -= y * _MIX_MULT_R
+    out ^= out >> 16
+    return out
+
+
+def _stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """SeedSequence((seed, i)).generate_state(3, np.uint64) for i in [lo, hi), one row each.
+
+    SeedSequence hashes the entropy words of (seed, i) into a pool of four
+    words, then hashes the pool into the state. Every row makes the same
+    sequence of hash calls, with the same keys, so each call runs on all
+    rows at once, and on every pool word it touches. Indices lie below 2^64,
+    and i must have one word count across the range: a chunk never straddles
+    2^32, which CHUNK_TRAJECTORIES divides.
+    """
+    width = len(_uint32_words(hi - 1))
+    if len(_uint32_words(lo)) != width:
+        raise ValueError(f"trajectory indices [{lo}, {hi}) change word count")
+    index = np.arange(lo, hi, dtype=np.uint64)
+    seed_words = _uint32_words(seed)
+    entropy = np.empty((len(seed_words) + width, hi - lo), dtype=np.uint32)
+    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    for k in range(width):
+        entropy[len(seed_words) + k] = (index >> np.uint64(32 * k)) & np.uint64(_WORD)
+    pool = np.zeros((_POOL_SIZE, hi - lo), dtype=np.uint32)
+    pool[:len(entropy)] = entropy[:_POOL_SIZE]
+
+    extra = max(0, len(entropy) - _POOL_SIZE)
+    keys = _hash_keys(_HASH_INIT_A, _HASH_MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
+    call = 0
+
+    def hashmix(words: np.ndarray, calls: int) -> np.ndarray:
+        nonlocal call
+        out = words ^ keys[call:call + calls]
+        out *= keys[call + 1:call + calls + 1]
+        out ^= out >> 16
+        call += calls
+        return out
+
+    # the entropy's first words, zero-padded to the pool size
+    pool = hashmix(pool, _POOL_SIZE)
+    # every pool word into every other: each source's three hashes come in
+    # destination order, and a source never changes during its own pass
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
+    # entropy words beyond the pool, each mixed into every pool word
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, hashmix(word, _POOL_SIZE))
+
+    # generate_state(3, np.uint64): six words cycling through the pool, paired little-endian
+    keys = _hash_keys(_HASH_INIT_B, _HASH_MULT_B, 6)
+    state = pool[[0, 1, 2, 3, 0, 1]] ^ keys[:-1]
+    state *= keys[1:]
+    state ^= state >> 16
+    state = state.astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+
+
+@functools.cache
+def _fixed_state_type() -> type:
+    """An ISeedSequence whose generate_state returns one row of `_stream_states`.
+
+    np.random.SFC64 seeds itself with generate_state(3, np.uint64) of the
+    sequence it is given. The class is made on first use, as scipy is
+    imported: importing ddmnet loads no numpy.random module.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedState(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+            return self.state
+
+    return FixedState
+
+
+def _stream_generators(seed: int, lo: int, hi: int) -> list[np.random.Generator]:
+    """np.random.Generator(SFC64(SeedSequence((seed, i)))) for i in [lo, hi)."""
+    fixed = _fixed_state_type()
+    return [np.random.Generator(np.random.SFC64(fixed(state)))
+            for state in _stream_states(seed, lo, hi)]
+
+
+def _takes_steps(n: int, batch: int) -> bool:
+    """Whether a chunk of `batch` trajectories on n nodes advances one product
+    per step rather than by panels.
+
+    A panel's stack costs span n^3 flops to build, once per chunk, against
+    the batch span n^2 that either path spends on products; a step pays
+    Python's per-product overhead. Medians on a 2-CPU Intel Xeon virtual
+    machine with numpy's BLAS on one thread, one panel per chunk
+    (panel/step, ms): batch 64, span 20: n = 20
+    0.12/0.19, n = 30 0.23/0.25, n = 40 0.34/0.32, n = 60 0.76/0.54,
+    n = 100 3.2/1.1; batch 64, span 250: n = 30 3.1/3.5, n = 40 4.3/4.3,
+    n = 60 11.8/7.1; batch 256, span 250: n = 100 58/61, n = 150 141/131,
+    n = 200 341/218; batch 1024, span 250: n = 5 2.6/9.2, n = 200 620/698,
+    n = 512 4563/3077. The crossover does not move with the span; more
+    panels per chunk share one stack and favour panels further. Part of the
+    determinism contract: the two paths round differently.
+    """
+    return 2 * n >= batch
+
+
 def _panel_operator(step_matrix_t: np.ndarray, span: int,
                     noise_scale: float) -> tuple[np.ndarray, np.ndarray]:
     """The stack K and the power M^span that advance a panel of `span` steps.
@@ -167,9 +308,10 @@ def _simulate_chunk(lap: np.ndarray, cfg: SimConfig, lo: int, hi: int,
                     sample_steps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Moment sums over trajectories [lo, hi); pure function of its arguments.
 
-    Panels end at every sample step and span at most PANEL_STEPS steps; each
-    advances the whole batch with one product against `_panel_operator`,
-    built once per distinct span.
+    Panels end at every sample step and span at most PANEL_STEPS steps. By
+    `_takes_steps`, each panel advances the whole batch with one product
+    against `_panel_operator`, built once per distinct span, or with one
+    product per step against M, reading the same normals.
     """
     n = lap.shape[0]
     batch = hi - lo
@@ -178,9 +320,9 @@ def _simulate_chunk(lap: np.ndarray, cfg: SimConfig, lo: int, hi: int,
     noise_scale = cfg.params.sigma * math.sqrt(h)
     step_matrix_t = (np.eye(n) - h * lap).T
     operators: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    steps = _takes_steps(n, batch)
 
-    gens = [np.random.Generator(np.random.SFC64(np.random.SeedSequence((cfg.seed, i))))
-            for i in range(lo, hi)]
+    gens = _stream_generators(cfg.seed, lo, hi)
     sums = np.zeros((len(sample_steps), n))
     outers = np.zeros((len(sample_steps), n, n))
     x = np.zeros((batch, n))
@@ -194,11 +336,19 @@ def _simulate_chunk(lap: np.ndarray, cfg: SimConfig, lo: int, hi: int,
             width = span * n
             for b, gen in enumerate(gens):
                 gen.standard_normal(out=noise[b, :width])
-            if span not in operators:
-                operators[span] = _panel_operator(step_matrix_t, span, noise_scale)
-            stack, power = operators[span]
-            x = x @ power + noise[:, :width] @ stack
-            x += drift * span  # M's columns sum to 1: the drift row passes each step unchanged
+            if steps:  # x <- x M + (sigma sqrt(h) xi + beta h), step by step
+                panel = noise[:, :width]
+                panel *= noise_scale
+                panel += drift
+                for col in range(0, width, n):
+                    x = x @ step_matrix_t
+                    x += panel[:, col:col + n]
+            else:
+                if span not in operators:
+                    operators[span] = _panel_operator(step_matrix_t, span, noise_scale)
+                stack, power = operators[span]
+                x = x @ power + noise[:, :width] @ stack
+                x += drift * span  # M's columns sum to 1: the drift row passes each step unchanged
             done += span
         sums[idx] += x.sum(axis=0)  # a t = 0 sample adds the zero state
         outers[idx] += x.T @ x

@@ -384,6 +384,18 @@ class TestGraphIO:
                             r"edge weights lie in \[1e\+150, 1e\+150\]\n", out.err)
         assert out.out == ""
 
+    @pytest.mark.parametrize("argv", [["analyze", BENCHMARK], ["family", "complete:3:1"],
+                                      ["simulate", BENCHMARK], ["verify", BENCHMARK]],
+                             ids=["analyze", "family", "simulate", "verify"])
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_sigma_whose_square_overflows_is_usage_error(self, argv, capsys):
+        # sigma**2 of a float above sqrt(max double) ~ 1.34e154 raises OverflowError
+        code, out = run_cli(*argv, "--sigma", "1e200", capsys=capsys)
+        assert code == 2
+        assert out.err == ("error: sigma^2 overflows double precision: sigma must be at most "
+                           "1.34078e+154, got 1e+200\n")
+        assert out.out == ""
+
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
     def test_closeness_length_overflow_is_usage_error(self, tmp_path, capsys):
         # the mirror's weight (3e-320 + 5e-324)/2 is subnormal, and its length 1/w overflows
@@ -556,10 +568,32 @@ def scipy_modules_after(*argvs: list[str]) -> list[str]:
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"))
 
 
+def numpy_random_modules_after(*argvs: list[str]) -> list[str]:
+    """The numpy.random modules that importing ddmnet.cli and running main() on
+    each argv load in a fresh interpreter, beyond those `import numpy` loads."""
+    return json.loads(run_python(
+        "import json, os, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import ddmnet.cli\n"
+        "loaded = [m for m in sys.modules if m.startswith('numpy.random') and m not in before]\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    assert ddmnet.cli.main(argv + ['--output', os.devnull]) == 0\n"
+        "loaded += [m for m in sys.modules if m.startswith('numpy.random') and m not in before]\n"
+        "print(json.dumps(sorted(set(loaded))))\n"))
+
+
 class TestImportBoundary:
     def test_symmetric_analyze_loads_no_scipy(self):
         assert scipy_modules_after(["analyze", BENCHMARK], ["analyze", "tests/data/undirected60.json"],
                                    ["analyze", BENCHMARK, "--format", "csv"]) == []
+
+    def test_import_and_symmetric_analyze_load_no_numpy_random(self):
+        # the simulator imports numpy.random on first use
+        assert numpy_random_modules_after() == []
+        assert numpy_random_modules_after(["analyze", "tests/data/undirected60.json"]) == []
+        assert "numpy.random" in numpy_random_modules_after(
+            ["simulate", BENCHMARK, "--trajectories", "200", "--t-max", "0.1", "--sample-times", "0.1"])
 
     @pytest.mark.parametrize("argv", [["centrality", BENCHMARK], ["verify", BENCHMARK]],
                              ids=["centrality", "verify"])

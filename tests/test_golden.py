@@ -2,7 +2,9 @@
 graph storage; the curves CSV was written with the uniform covariance walk,
 and the group-inverse and info-centrality numbers with the Cholesky solve
 basis. The family report was written before the CLI built its parser once
-per process and wrote reports without deep copies.
+per process and wrote reports without deep copies. The simulate report was
+written while each trajectory's stream was seeded by numpy's SeedSequence
+one at a time; its three chunks stack panels.
 
 The runs use the same relative paths from the repository root as the files
 were made with, so the "graph_file" echo matches too. To rewrite the files
@@ -40,6 +42,8 @@ CASES = [
     ("verify_five_node.json", ["verify", FIXTURE]),
     ("curves_digraph6.csv", ["analyze", DIGRAPH, "--format", "curves"]),
     ("family_complete9.json", ["family", "complete:9:1"]),
+    ("simulate_five_node.json", ["simulate", FIXTURE, "--trajectories", "2100", "--t-max", "1",
+                                 "--sample-times", "0.5,1", "--seed", "7"]),
 ]
 
 

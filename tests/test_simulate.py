@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ddmnet.lazyscipy as lazyscipy
 import ddmnet.simulate as simulate_module
@@ -153,11 +155,31 @@ class TestDeterminism:
         cfg = SimConfig(PARAMS, t_max=times[-1], step=step, trajectories=trajectories, seed=3,
                         sample_times=times)
         monkeypatch.setattr(simulate_module, "PANEL_STEPS", panel)
+        paths = []
+        monkeypatch.setattr(simulate_module, "_takes_steps",
+                            lambda *args: paths.append(REAL_TAKES_STEPS(*args)) or paths[-1])
         blocked = simulate_ensemble(graph, cfg, workers=1)
+        # n >= batch / 2 steps one product at a time; the others stack panels
+        assert paths == [case == "n_above_batch"]
         sums, outers = step_loop_sums(graph, cfg)
         assert np.all(blocked.sums[0] == 0.0) and np.all(blocked.outers[0] == 0.0)
         assert_close_per_sample(blocked.sums, sums, 1e-12)
         assert_close_per_sample(blocked.outers, outers, 1e-12)
+
+    def test_worker_count_does_not_change_mixed_paths(self):
+        # 2100 trajectories on 40 nodes: two full chunks of 1024 stack panels
+        # and the remainder chunk of 52 steps, in the pool and in-process alike
+        n = 40
+        graph = build_graph(n, [(k, k % n + 1, 1.0 + k / 10) for k in range(1, n + 1)]
+                            + [(k, (k + 9) % n + 1, 0.5) for k in range(1, n + 1, 3)])
+        cfg = SimConfig(PARAMS, t_max=0.025, step=1e-3, trajectories=2100, seed=4,
+                        sample_times=(0.01, 0.025))
+        assert not simulate_module._takes_steps(n, 1024)
+        assert simulate_module._takes_steps(n, 52)
+        serial = simulate_ensemble(graph, cfg, workers=1)
+        parallel = simulate_ensemble(graph, cfg, workers=2)
+        assert np.array_equal(serial.sums, parallel.sums)
+        assert np.array_equal(serial.outers, parallel.outers)
 
     def test_seeds_below_the_trajectory_count_draw_distinct_streams(self, benchmark_graph):
         # a stream key that mixes seed and trajectory index into one integer
@@ -176,6 +198,68 @@ class TestDeterminism:
         a = simulate_ensemble(benchmark_graph, cfg_a)
         b = simulate_ensemble(benchmark_graph, cfg_b)
         assert not np.array_equal(a.sums, b.sums)
+
+
+REAL_TAKES_STEPS = simulate_module._takes_steps
+
+
+class TestPathRule:
+    # the measured crossover sits near 2n = batch at spans 20 and 250 alike
+    @pytest.mark.parametrize("n,batch,steps", [
+        (5, 1024, False),  # the montecarlo chunks
+        (5, 64, False),  # verify on the five-node fixture
+        (31, 64, False),
+        (32, 64, True),  # verify from n = 32 on
+        (100, 64, True),
+        (100, 1024, False),
+        (511, 1024, False),
+        (512, 1024, True),
+        (5, 10, True),  # a remainder chunk of at most 2n trajectories
+        (5, 11, False),
+        (1, 3, False),
+        (1, 2, True),
+    ])
+    def test_rule_table(self, n, batch, steps):
+        assert simulate_module._takes_steps(n, batch) is steps
+
+
+def numpy_seed_states(seed, lo, hi):
+    return np.array([np.random.SeedSequence((seed, i)).generate_state(3, np.uint64)
+                     for i in range(lo, hi)])
+
+
+class TestStreamSeeding:
+    """`_stream_states` against numpy's own SeedSequence, without simulating."""
+
+    @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 11])
+    @pytest.mark.parametrize("lo,hi", [(0, 64), (1024, 2048), (2**32 - 1024, 2**32),
+                                       (2**32, 2**32 + 1024)])
+    @pytest.mark.filterwarnings("error")
+    def test_states_match_numpy(self, seed, lo, hi):
+        assert np.array_equal(simulate_module._stream_states(seed, lo, hi),
+                              numpy_seed_states(seed, lo, hi))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**200), chunk=st.integers(0, 2**23 + 10),
+           offset=st.integers(0, 1023), count=st.integers(1, 40))
+    def test_drawn_seeds_and_chunks_match_numpy(self, seed, chunk, offset, count):
+        # within one chunk of CHUNK_TRAJECTORIES, as the simulator asks
+        size = simulate_module.CHUNK_TRAJECTORIES
+        lo = chunk * size + offset
+        hi = min(lo + count, (chunk + 1) * size)
+        assert np.array_equal(simulate_module._stream_states(seed, lo, hi),
+                              numpy_seed_states(seed, lo, hi))
+
+    def test_a_range_across_two_to_the_32_is_refused(self):
+        with pytest.raises(ValueError, match="word count"):
+            simulate_module._stream_states(7, 2**32 - 1, 2**32 + 1)
+
+    @pytest.mark.parametrize("seed,lo", [(1234, 0), (2**64 + 7, 2**32 - 2), (0, 2**32)])
+    def test_first_normals_match_numpy_streams(self, seed, lo):
+        gens = simulate_module._stream_generators(seed, lo, lo + 2)
+        for i, gen in zip(range(lo, lo + 2), gens):
+            ref = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, i))))
+            assert np.array_equal(gen.standard_normal(1000), ref.standard_normal(1000))
 
 
 def numpy_blas_threads() -> int | None:
