@@ -220,7 +220,8 @@ def certainty_via_centrality(info_centrality_scores: tuple[float, ...], kirchhof
     if len(info_centrality_scores) != n:
         raise ValueError("need one information-centrality score per node")
     inv_kappa = np.array([0.0 if math.isinf(k) else 1.0 / k for k in info_centrality_scores])
-    inv_mu = params.sigma**2 / 2.0 * (inv_kappa - kirchhoff_index / n**2)
+    with np.errstate(over="ignore"):  # _report_from_inv_mu names sigma
+        inv_mu = params.sigma**2 / 2.0 * (inv_kappa - kirchhoff_index / n**2)
     if n == 1:
         inv_mu = np.zeros(1)
     return _report_from_inv_mu(inv_mu, "info-centrality", kirchhoff_index, params.sigma)

@@ -50,14 +50,17 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Unitary eigendecomposition of a normal Laplacian, zero mode first.
+    """Orthonormal eigendecomposition of the symmetric part (L + L^T) / 2 of a
+    normal Laplacian L, zero mode first.
 
+    L commutes with L^T, so L = U Lambda U^* gives (L + L^T) / 2 = U (Re Lambda) U^*:
+    eigenvalues are Re lambda_p, and L's modes span each eigenspace.
     eigenvalues[0] == 0 with eigenvector (1/sqrt(n)) * ones; the remaining
-    eigenvalues have strictly positive real part for strongly connected graphs.
+    eigenvalues are strictly positive for strongly connected graphs.
     """
 
-    eigenvalues: np.ndarray  # complex, shape (n,)
-    vectors: np.ndarray  # complex unitary, shape (n, n), columns are eigenvectors
+    eigenvalues: np.ndarray  # real, shape (n,)
+    vectors: np.ndarray  # real orthogonal, shape (n, n), columns are eigenvectors
 
     @property
     def n(self) -> int:
@@ -92,24 +95,26 @@ class CertaintyReport:
 
 
 def _report_from_inv_mu(inv_mu: np.ndarray, route: str, kirchhoff: float, sigma: float) -> CertaintyReport:
+    """The report of a route; raises DdmnetError naming sigma where 1/mu or their sum overflows."""
     inv = tuple(float(v) for v in inv_mu)
+    total = float(sum(inv))
+    if not math.isfinite(total):
+        raise DdmnetError(f"the {route} certainty overflows double precision: "
+                          f"sigma = {sigma:.6g} is too large for this graph")
     return CertaintyReport(
         mu=tuple(INFINITE_CERTAINTY if v == 0.0 else 1.0 / v for v in inv),
         inv_mu=inv,
         route=route,
         kirchhoff_index=float(kirchhoff),
-        total_dispersion=float(sum(inv)),
+        total_dispersion=total,
         sigma=float(sigma),
     )
 
 
 def spectral_decompose(lap: np.ndarray) -> SpectralData:
-    """Unitary eigendecomposition of a normal, strongly connected Laplacian.
-
-    Symmetric inputs use a real symmetric eigensolver; normal non-symmetric
-    ones use a complex Schur factorization, whose triangular factor is
-    diagonal (to roundoff) exactly when the matrix is normal. The zero mode
-    is moved to position 0 and its eigenvector pinned to (1/sqrt(n)) * ones.
+    """`SpectralData` of a normal, strongly connected Laplacian: one real
+    symmetric eigensolver on (L + L^T) / 2. The zero mode is moved to
+    position 0 and its eigenvector pinned to (1/sqrt(n)) * ones.
 
     Raises NotNormalError / NotStronglyConnectedError when the premises fail,
     and GraphValidationError where the normality test overflows.
@@ -136,67 +141,55 @@ def spectral_decompose(lap: np.ndarray) -> SpectralData:
 def _eigensystem(lap: np.ndarray) -> SpectralData:
     """spectral_decompose on a Laplacian known to be normal and strongly connected."""
     n = lap.shape[0]
-    scale = max(1.0, float(np.linalg.norm(lap, "fro")))
-    if np.allclose(lap, lap.T, atol=DEFAULT_TOL.normality_rtol * scale):
-        eigvals_r, vecs_r = np.linalg.eigh(lap)
-        eigvals = eigvals_r.astype(complex)
-        vecs = vecs_r.astype(complex)
-    else:
-        tri, z = scipy_linalg().schur(lap, output="complex")
-        eigvals = np.diag(tri).copy()
-        vecs = z
+    sym = (lap + lap.T) / 2.0  # lap itself, bit for bit, where lap is symmetric
+    eigvals, vecs = np.linalg.eigh(sym)
+    scale = max(1.0, float(np.linalg.norm(sym, "fro")))
 
     # zero mode first, remaining modes in a deterministic order
     zero_idx = int(np.argmin(np.abs(eigvals)))
     rest = [p for p in range(n) if p != zero_idx]
-    rest.sort(key=lambda p: (eigvals[p].real, eigvals[p].imag))
+    rest.sort(key=lambda p: eigvals[p])
     order = [zero_idx] + rest
     eigvals = eigvals[order]
     vecs = vecs[:, order]
 
     if abs(eigvals[0]) > DEFAULT_TOL.eigen_residual_rtol * scale:
         raise NotStronglyConnectedError(f"no eigenvalue near zero (closest: {eigvals[0]:.3e})")
-    consensus = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-    overlap = complex(np.vdot(vecs[:, 0], consensus))
-    if abs(abs(overlap) - 1.0) > 1e-8:
+    consensus = np.full(n, 1.0 / math.sqrt(n))
+    if abs(abs(float(vecs[:, 0] @ consensus)) - 1.0) > 1e-8:
         raise NotStronglyConnectedError("zero-eigenvalue eigenspace is not the consensus direction")
     eigvals[0] = 0.0
     vecs[:, 0] = consensus
 
     data = SpectralData(eigenvalues=eigvals, vectors=vecs)
-    _validate_spectral(lap, data)
+    _validate_spectral(sym, scale, data)
     return data
 
 
-def _validate_spectral(lap: np.ndarray, data: SpectralData) -> None:
-    n = data.n
-    gram = data.vectors.conj().T @ data.vectors
-    if float(np.abs(gram - np.eye(n)).max()) > DEFAULT_TOL.unitary_atol:
-        raise NotNormalError("eigenvector matrix is not unitary within tolerance")
-    residual = float(np.linalg.norm(lap @ data.vectors - data.vectors * data.eigenvalues, "fro"))
-    scale = max(1.0, float(np.linalg.norm(lap, "fro")))
+def _validate_spectral(sym: np.ndarray, scale: float, data: SpectralData) -> None:
+    """Check `data` against the symmetric part `sym` it decomposes, whose
+    Frobenius norm is at most `scale`."""
+    if float(np.abs(data.vectors.T @ data.vectors - np.eye(data.n)).max()) > DEFAULT_TOL.unitary_atol:
+        raise NotNormalError("eigenvector matrix is not orthogonal within tolerance")
+    residual = float(np.linalg.norm(sym @ data.vectors - data.vectors * data.eigenvalues, "fro"))
     if residual > DEFAULT_TOL.eigen_residual_rtol * scale:
         raise NotNormalError(f"eigenpair residual {residual:.3e} exceeds tolerance")
-    if n > 1 and float(data.eigenvalues[1:].real.min()) <= 0.0:
+    if data.n > 1 and float(data.eigenvalues[1:].min()) <= 0.0:
         raise NotStronglyConnectedError("nonzero eigenvalue with nonpositive real part")
 
 
 def certainty_spectral(data: SpectralData, params: ModelParams) -> CertaintyReport:
     """Certainty from the eigenstructure: 1/mu_k = sigma^2 sum |u_k|^2 / (2 Re lambda).
-    Raises DdmnetError where 1/Re lambda or 1/mu overflows (subnormal weights)."""
-    n = data.n
-    if n == 1:
-        return _report_from_inv_mu(np.zeros(1), "spectral", 0.0, params.sigma)
-    re = data.eigenvalues[1:].real
-    weights = np.abs(data.vectors[:, 1:]) ** 2
+    Raises DdmnetError where 1/Re lambda overflows (subnormal weights), and
+    where 1/mu overflows at a finite 1/Re lambda (a large sigma)."""
+    re = data.eigenvalues[1:]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         inv_re = 1.0 / re
-        inv_mu = params.sigma**2 * (weights / (2.0 * re)).sum(axis=1)
-    if not (np.all(np.isfinite(inv_re)) and np.all(np.isfinite(inv_mu))):
+        inv_mu = params.sigma**2 * (data.vectors[:, 1:] ** 2 / (2.0 * re)).sum(axis=1)
+    if not np.all(np.isfinite(inv_re)):
         raise DdmnetError("spectral certainty overflows double precision: smallest nonzero "
                           f"Re lambda = {float(re.min()):.3g}")
-    kirchhoff = n * float(inv_re.sum())
-    return _report_from_inv_mu(inv_mu, "spectral", kirchhoff, params.sigma)
+    return _report_from_inv_mu(inv_mu, "spectral", data.n * float(inv_re.sum()), params.sigma)
 
 
 def certainty_group_inverse(group_inv: np.ndarray, params: ModelParams) -> CertaintyReport:
@@ -204,7 +197,8 @@ def certainty_group_inverse(group_inv: np.ndarray, params: ModelParams) -> Certa
     1/mu_k = (sigma^2 / 2) X_kk."""
     diag = np.diag(np.asarray(group_inv, dtype=float)).copy()
     n = diag.shape[0]
-    inv_mu = params.sigma**2 / 2.0 * diag
+    with np.errstate(over="ignore"):  # _report_from_inv_mu names sigma
+        inv_mu = params.sigma**2 / 2.0 * diag
     if n == 1:
         inv_mu = np.zeros(1)
     kirchhoff = n * float(np.trace(group_inv))
@@ -226,19 +220,12 @@ def _check_time(t: float) -> None:
 def spectral_covariance(data: SpectralData, params: ModelParams, t: float) -> np.ndarray:
     """State covariance at time t from zero initial conditions, by the eigenmode
     closed form of a normal, strongly connected Laplacian's spectrum `data`:
-    sigma^2 U diag(t, (1 - e^{-2 Re lambda_p t}) / (2 Re lambda_p)) U^*."""
+    sigma^2 U diag(t, (1 - e^{-2 Re lambda_p t}) / (2 Re lambda_p)) U^T. It reads
+    (L + L^T) / 2 only: e^{-L s} e^{-L^T s} = e^{-(L + L^T) s} where L is normal."""
     _check_time(t)
-    n = data.n
-    gdiag = np.empty(n)
-    gdiag[0] = t
-    if n > 1:
-        re = data.eigenvalues[1:].real
-        gdiag[1:] = -np.expm1(-2.0 * re * t) / (2.0 * re)
-    cov = (data.vectors * gdiag) @ data.vectors.conj().T
-    imag_max = float(np.abs(cov.imag).max())
-    if imag_max > DEFAULT_TOL.imaginary_atol * max(1.0, float(np.abs(cov.real).max())):
-        raise NotNormalError(f"covariance has imaginary residue {imag_max:.3e}")
-    cov = params.sigma**2 * cov.real
+    re = data.eigenvalues[1:]
+    gdiag = np.concatenate(([t], -np.expm1(-2.0 * re * t) / (2.0 * re)))
+    cov = params.sigma**2 * ((data.vectors * gdiag) @ data.vectors.T)
     return (cov + cov.T) / 2.0
 
 
@@ -373,6 +360,9 @@ def dispersion_summary(report: CertaintyReport, kirchhoff_index: float) -> Dispe
     index (`InformationMatrix.kirchhoff_index`)."""
     n = len(report.inv_mu)
     total = report.total_dispersion
-    residual = abs(total - report.sigma**2 * kirchhoff_index / (2.0 * n))
+    expected = report.sigma**2 * kirchhoff_index / (2.0 * n)
+    if math.isinf(expected):  # sigma^2 K_f overflows before the division near the largest sigma
+        expected = report.sigma**2 * (kirchhoff_index / (2.0 * n))
+    residual = abs(total - expected)
     return DispersionSummary(kirchhoff_index=float(kirchhoff_index), total_dispersion=total,
                              identity_residual=residual)

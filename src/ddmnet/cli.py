@@ -7,10 +7,9 @@ Exit codes: 0 ok, 1 verification failure, 2 usage or input errors, 3 an
 internal error (an unexpected exception, reported in one line on stderr).
 
 Importing this module loads numpy and no scipy. A command loads scipy only
-where it runs a scipy routine: the complex Schur factorization (a normal,
-non-symmetric Laplacian), the matrix exponential (curves, family, simulate,
-verify) or Dijkstra (centrality). analyze on a symmetric graph, in JSON or
-CSV, runs on numpy alone. `main` runs scipy's bundled OpenBLAS on one thread
+where it runs a scipy routine: the matrix exponential (curves, family,
+simulate, verify) or Dijkstra (centrality). analyze in JSON or CSV runs on
+numpy alone, on any graph. `main` runs scipy's bundled OpenBLAS on one thread
 from the moment scipy.linalg is loaded (README, "Threading").
 """
 

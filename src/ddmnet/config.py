@@ -16,7 +16,7 @@ class Tolerances:
     normality_rtol: float = 1e-10
     # per-node |out_degree - in_degree| <= balance_rtol * max(1, degree scale)
     balance_rtol: float = 1e-10
-    # max deviation of U*U from the identity
+    # max deviation of U^T U from the identity
     unitary_atol: float = 1e-10
     # ||L u - lambda u|| <= eigen_residual_rtol * ||L||
     eigen_residual_rtol: float = 1e-9
@@ -28,8 +28,6 @@ class Tolerances:
     covariance_cross_atol: float = 1e-6
     # path-enumeration oracle vs matrix information
     oracle_agreement_atol: float = 1e-6
-    # imaginary residue allowed when extracting real parts
-    imaginary_atol: float = 1e-12
     # scores are rounded to this many decimals before ranking, so that
     # exact mathematical ties perturbed by float noise break identically
     # across different computation routes

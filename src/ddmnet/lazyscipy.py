@@ -1,9 +1,8 @@
 """scipy.linalg, loaded on first use, and the thread counts of the wheels' OpenBLAS copies.
 
-numpy serves a symmetric-graph analysis alone. scipy serves the complex
-Schur factorization, the matrix exponential and Dijkstra, and importing it
-costs more than importing numpy, so each module that needs scipy imports it
-inside the function that calls it. scipy.linalg comes from `scipy_linalg()`,
+numpy serves an analysis alone, on any graph. scipy serves the matrix
+exponential and Dijkstra, and importing it costs more than importing numpy,
+so each module that needs scipy imports it inside the function that calls it. scipy.linalg comes from `scipy_linalg()`,
 read at call time, so a name patched on the scipy.linalg module is seen.
 
 `single_thread_blas_on_load()`, which the CLI calls, runs scipy's bundled
@@ -99,7 +98,7 @@ def _single_thread_scipy_blas() -> None:
 
     Called only once scipy.linalg is loaded, when that copy is mapped. Each
     OpenBLAS copy keeps a thread pool as large as the CPU count, and scipy's
-    serves only expm and schur here. Requests alternate between it and
+    serves only expm here. Requests alternate between it and
     numpy's pool, so two full pools would contend for the same CPUs. numpy's
     pool, which computes every other result, keeps its default outside Monte
     Carlo chunks.

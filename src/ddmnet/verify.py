@@ -147,7 +147,7 @@ def run_checks(req: Request, oracle_cap: int = 8) -> list[CheckResult]:
     if req.routes and g.n > 1:
         # the propagator's step pair at t = 0.5, doubled to t = 0.5 * 2^k >= 12 / rate,
         # where e^{-2 rate t} < 4e-11: the transient is below tolerance
-        rate = float(req.spectral.eigenvalues[1:].real.min())
+        rate = float(req.spectral.eigenvalues[1:].min())
         k = max(0, math.ceil(math.log2(24.0) - math.log2(rate)))
         t_late, p_late = _covariance_doubled(lap, phi_half, p_half, 0.5, k)
         offset = np.diag(p_late) - params.sigma**2 * t_late / g.n

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import covariance_by_quadrature, effective_resistance_by_solve, random_connected_graph
 from ddmnet import (
+    DEFAULT_TOL,
     FamilySpec,
     ModelParams,
     NotNormalError,
@@ -374,3 +377,48 @@ class TestGroupInverseCirculant:
         g = build_graph(6, [(k, k % 6 + 1, 1.0) for k in range(1, 7)])
         x = information_matrix(laplacian(mirror_graph(g))).x
         assert np.ptp(np.diag(x)) < 1e-12
+
+
+@st.composite
+def directed_circulants(draw):
+    """(n, {offset: weight}) of a strongly connected circulant digraph whose
+    Laplacian is normal but not symmetric: k -> k + o (mod n) with weight w_o."""
+    n = draw(st.integers(3, 12))
+    offsets = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=n - 1))
+    weights = {o: draw(st.floats(0.1, 10.0)) for o in sorted(offsets)}
+    assume(math.gcd(n, *offsets) == 1)
+    assume(any(weights.get(n - o) != w for o, w in weights.items()))
+    return n, weights
+
+
+class TestNormalCirculants:
+    """The spectral route decomposes (L + L^T) / 2, whose spectrum is Re of L's: a
+    circulant's eigenvalues are the DFT of its first row, and its modes are
+    the Fourier vectors, so the closed forms below share nothing with eigh."""
+
+    @staticmethod
+    def laplacian_and_spectrum(n, weights):
+        g = build_graph(n, [(k + 1, (k + o) % n + 1, w) for k in range(n) for o, w in weights.items()])
+        first_row = np.zeros(n)
+        first_row[0] = sum(weights.values())
+        for o, w in weights.items():
+            first_row[o] = -w
+        return laplacian(g), np.fft.fft(first_row).real
+
+    @settings(max_examples=60, deadline=None)
+    @given(directed_circulants(), st.floats(0.2, 3.0))
+    def test_eigh_of_the_symmetric_part_matches_the_dft(self, circulant, sigma):
+        lap, re = self.laplacian_and_spectrum(*circulant)
+        assert not np.array_equal(lap, lap.T)
+        n, params = lap.shape[0], ModelParams(sigma=sigma)
+        data = spectral_decompose(lap)
+        assert data.eigenvalues.dtype == data.vectors.dtype == np.float64
+        np.testing.assert_allclose(data.eigenvalues, np.sort(re), rtol=0.0,
+                                   atol=1e-12 * np.linalg.norm(lap, "fro"))
+        for t in (0.1, 1.0, 5.0):
+            gap = np.abs(spectral_covariance(data, params, t) - analytic_covariance(lap, params, t)).max()
+            assert gap <= DEFAULT_TOL.covariance_cross_atol
+        # every node of a circulant has 1/mu = sigma^2 / n * sum_{m >= 1} 1 / (2 Re lambda_m)
+        closed = sigma**2 / n * float((1.0 / (2.0 * re[1:])).sum())
+        rep = certainty_spectral(data, params)
+        np.testing.assert_allclose(rep.inv_mu, closed, rtol=DEFAULT_TOL.route_agreement_rtol, atol=0.0)

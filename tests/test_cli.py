@@ -397,6 +397,30 @@ class TestGraphIO:
         assert out.out == ""
 
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_largest_sigma_gives_a_finite_report(self, capsys):
+        # the largest sigma ModelParams accepts: sigma^2 is one ulp below the largest double,
+        # so the dispersion identity scales K_f / (2n) by it, not K_f
+        code, out = run_cli("analyze", BENCHMARK, "--sigma", "1.3407807929942596e154", capsys=capsys)
+        assert code == 0
+        report = json.loads(out.out, parse_constant=lambda name: pytest.fail(f"report holds {name}"))
+        assert all(math.isfinite(v) for v in report["dispersion"].values())
+        for route in report["routes"].values():
+            assert math.isfinite(route["total_dispersion"])
+            assert all(math.isfinite(row["inv_mu"]) for row in route["rows"])
+
+    @pytest.mark.parametrize("sigma", ["1e154", "1.3407807929942596e154"])
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_sigma_overflowing_the_certainty_is_usage_error(self, sigma, tmp_path, capsys):
+        # on the unit 10-path 1/mu reaches 1.425 sigma^2, and the sum of the 1/mu 8.25 sigma^2
+        path = write_graph(tmp_path, {"n": 10, "edges": [[k, k + 1, 1.0] for k in range(1, 10)],
+                                      "undirected": True})
+        code, out = run_cli("analyze", path, "--sigma", sigma, capsys=capsys)
+        assert code == 2
+        assert out.err == (f"error: the spectral certainty overflows double precision: "
+                           f"sigma = {float(sigma):.6g} is too large for this graph\n")
+        assert out.out == ""
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
     def test_closeness_length_overflow_is_usage_error(self, tmp_path, capsys):
         # the mirror's weight (3e-320 + 5e-324)/2 is subnormal, and its length 1/w overflows
         path = write_graph(tmp_path, {"n": 3, "edges": [[1, 2, 3e-320], [2, 1, 5e-324], [2, 3, 1.0],
@@ -584,9 +608,11 @@ def numpy_random_modules_after(*argvs: list[str]) -> list[str]:
 
 
 class TestImportBoundary:
-    def test_symmetric_analyze_loads_no_scipy(self):
+    def test_analyze_loads_no_scipy(self):
+        # eigh of the symmetric part serves every normal Laplacian, symmetric or not
         assert scipy_modules_after(["analyze", BENCHMARK], ["analyze", "tests/data/undirected60.json"],
-                                   ["analyze", BENCHMARK, "--format", "csv"]) == []
+                                   ["analyze", BENCHMARK, "--format", "csv"],
+                                   ["analyze", "tests/data/ring3_path3.json"]) == []
 
     def test_import_and_symmetric_analyze_load_no_numpy_random(self):
         # the simulator imports numpy.random on first use

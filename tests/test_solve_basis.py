@@ -35,6 +35,7 @@ from ddmnet.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 UNDIRECTED60 = str(ROOT / "tests/data/undirected60.json")
 FIXTURE = str(ROOT / "fixtures/five_node_benchmark.json")
+RING_PATH = str(ROOT / "tests/data/ring3_path3.json")  # normal, not symmetric
 PARAMS = ModelParams(sigma=1.3)
 FACTORIZATIONS = ("eigh", "eigvalsh", "eig", "inv", "solve", "pinv", "cholesky", "svd")
 
@@ -67,6 +68,7 @@ ORACLE_PAIRS = {"pinv": 10, "inv": 10}
     ("centrality", FIXTURE, {"cholesky": 1, "inv": 1 + ORACLE_PAIRS["inv"], "pinv": ORACLE_PAIRS["pinv"]}),
     ("verify", UNDIRECTED60, {"eigh": 1, "cholesky": 1, "inv": 1}),
     ("verify", FIXTURE, {"eigh": 1, "cholesky": 1, "inv": 1 + ORACLE_PAIRS["inv"], "pinv": ORACLE_PAIRS["pinv"]}),
+    ("analyze", RING_PATH, {"eigh": 1, "cholesky": 1, "inv": 1}),
 ])
 def test_factorization_counts(command, graph, expected, linalg_calls, tmp_path, capsys):
     assert main([command, graph, "--output", str(tmp_path / "report")]) == 0
