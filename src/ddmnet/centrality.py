@@ -116,14 +116,18 @@ def information_matrix(lap_mirror: np.ndarray) -> InformationMatrix:
     ):
         raise DdmnetError(f"cannot factor the mirror Laplacian in double precision: {weight_range(lap)}")
 
+    with np.errstate(over="ignore"):  # finite K_f bounds every resistance, at most 2 tr(X)
+        kirchhoff = n * float(np.trace(x))
+    if math.isinf(kirchhoff):
+        raise DdmnetError(f"the mirror's Kirchhoff index overflows double precision: {weight_range(lap)}")
+
     diag = np.diag(x)
     resistance = diag[:, None] + diag[None, :] - 2.0 * x
     np.fill_diagonal(resistance, 0.0)
     with np.errstate(divide="ignore"):
         information = np.where(resistance > 0, 1.0 / np.where(resistance > 0, resistance, 1.0), math.inf)
     np.fill_diagonal(information, math.inf)
-    return InformationMatrix(x=x, information=information, resistance=resistance,
-                             kirchhoff_index=n * float(np.trace(x)))
+    return InformationMatrix(x=x, information=information, resistance=resistance, kirchhoff_index=kirchhoff)
 
 
 @dataclass(frozen=True)

@@ -95,9 +95,14 @@ class CertaintyReport:
 
 
 def _report_from_inv_mu(inv_mu: np.ndarray, route: str, kirchhoff: float, sigma: float) -> CertaintyReport:
-    """The report of a route; raises DdmnetError naming sigma where 1/mu or their sum overflows."""
+    """The report of a route. Raises DdmnetError naming the edge weights where the
+    Kirchhoff index overflows, and naming sigma where 1/mu or their sum overflows:
+    the sum is sigma^2 K_f / (2n), finite at sigma = 1 wherever K_f is."""
     inv = tuple(float(v) for v in inv_mu)
     total = float(sum(inv))
+    if not math.isfinite(kirchhoff):
+        raise DdmnetError(f"the {route} Kirchhoff index overflows double precision: "
+                          "the edge weights are too small for this graph")
     if not math.isfinite(total):
         raise DdmnetError(f"the {route} certainty overflows double precision: "
                           f"sigma = {sigma:.6g} is too large for this graph")
@@ -145,10 +150,9 @@ def _eigensystem(lap: np.ndarray) -> SpectralData:
     eigvals, vecs = np.linalg.eigh(sym)
     scale = max(1.0, float(np.linalg.norm(sym, "fro")))
 
-    # zero mode first, remaining modes in a deterministic order
+    # zero mode first
     zero_idx = int(np.argmin(np.abs(eigvals)))
     rest = [p for p in range(n) if p != zero_idx]
-    rest.sort(key=lambda p: eigvals[p])
     order = [zero_idx] + rest
     eigvals = eigvals[order]
     vecs = vecs[:, order]
@@ -181,15 +185,16 @@ def _validate_spectral(sym: np.ndarray, scale: float, data: SpectralData) -> Non
 def certainty_spectral(data: SpectralData, params: ModelParams) -> CertaintyReport:
     """Certainty from the eigenstructure: 1/mu_k = sigma^2 sum |u_k|^2 / (2 Re lambda).
     Raises DdmnetError where 1/Re lambda overflows (subnormal weights), and
-    where 1/mu overflows at a finite 1/Re lambda (a large sigma)."""
+    where 1/mu or the Kirchhoff index overflows at a finite 1/Re lambda."""
     re = data.eigenvalues[1:]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         inv_re = 1.0 / re
+        kirchhoff = data.n * float(inv_re.sum())
         inv_mu = params.sigma**2 * (data.vectors[:, 1:] ** 2 / (2.0 * re)).sum(axis=1)
     if not np.all(np.isfinite(inv_re)):
         raise DdmnetError("spectral certainty overflows double precision: smallest nonzero "
                           f"Re lambda = {float(re.min()):.3g}")
-    return _report_from_inv_mu(inv_mu, "spectral", data.n * float(inv_re.sum()), params.sigma)
+    return _report_from_inv_mu(inv_mu, "spectral", kirchhoff, params.sigma)
 
 
 def certainty_group_inverse(group_inv: np.ndarray, params: ModelParams) -> CertaintyReport:
@@ -197,11 +202,11 @@ def certainty_group_inverse(group_inv: np.ndarray, params: ModelParams) -> Certa
     1/mu_k = (sigma^2 / 2) X_kk."""
     diag = np.diag(np.asarray(group_inv, dtype=float)).copy()
     n = diag.shape[0]
-    with np.errstate(over="ignore"):  # _report_from_inv_mu names sigma
+    with np.errstate(over="ignore"):  # _report_from_inv_mu names the cause
         inv_mu = params.sigma**2 / 2.0 * diag
+        kirchhoff = n * float(np.trace(group_inv))
     if n == 1:
         inv_mu = np.zeros(1)
-    kirchhoff = n * float(np.trace(group_inv))
     return _report_from_inv_mu(inv_mu, "group-inverse", kirchhoff, params.sigma)
 
 
@@ -360,9 +365,7 @@ def dispersion_summary(report: CertaintyReport, kirchhoff_index: float) -> Dispe
     index (`InformationMatrix.kirchhoff_index`)."""
     n = len(report.inv_mu)
     total = report.total_dispersion
-    expected = report.sigma**2 * kirchhoff_index / (2.0 * n)
-    if math.isinf(expected):  # sigma^2 K_f overflows before the division near the largest sigma
-        expected = report.sigma**2 * (kirchhoff_index / (2.0 * n))
+    expected = report.sigma**2 * (kirchhoff_index / (2.0 * n))  # sigma^2 K_f alone may overflow
     residual = abs(total - expected)
     return DispersionSummary(kirchhoff_index=float(kirchhoff_index), total_dispersion=total,
                              identity_residual=residual)

@@ -420,6 +420,19 @@ class TestGraphIO:
                            f"sigma = {float(sigma):.6g} is too large for this graph\n")
         assert out.out == ""
 
+    @pytest.mark.parametrize("command", ["analyze", "centrality", "verify"])
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_kirchhoff_overflow_at_unit_sigma_names_the_weights(self, command, tmp_path, capsys):
+        # a star of 40 leaves of weight 1e-307: every 1/Re lambda is finite, K_f is not,
+        # and at sigma = 1 the weights are the cause, not sigma
+        path = write_graph(tmp_path, {"n": 41, "edges": [[1, j, 1e-307] for j in range(2, 42)],
+                                      "undirected": True})
+        code, out = run_cli(command, path, capsys=capsys)
+        assert code == 2
+        assert out.err == ("error: the mirror's Kirchhoff index overflows double precision: "
+                           "edge weights lie in [1e-307, 1e-307]\n")
+        assert out.out == ""
+
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
     def test_closeness_length_overflow_is_usage_error(self, tmp_path, capsys):
         # the mirror's weight (3e-320 + 5e-324)/2 is subnormal, and its length 1/w overflows

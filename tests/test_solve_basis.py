@@ -228,6 +228,19 @@ def test_spectral_certainty_names_an_overflowing_spectrum():
         certainty_spectral(data, PARAMS)
 
 
+@pytest.mark.filterwarnings("error")
+def test_kirchhoff_overflow_at_unit_sigma_names_the_weights():
+    # a star of 40 leaves of weight 1e-307: every 1/Re lambda is finite, their sum K_f / n
+    # is not, and the 1/mu sum to K_f / (2n) at sigma = 1, so sigma is not the cause
+    lap = laplacian(build_graph(41, [e for j in range(2, 42) for e in ((1, j, 1e-307), (j, 1, 1e-307))]))
+    with pytest.raises(DdmnetError, match=r"^the spectral Kirchhoff index overflows double precision: "
+                                          r"the edge weights are too small for this graph$"):
+        certainty_spectral(spectral_decompose(lap), ModelParams())
+    with pytest.raises(DdmnetError, match=re.escape("the mirror's Kirchhoff index overflows double "
+                                                    "precision: edge weights lie in [1e-307, 1e-307]") + "$"):
+        information_matrix(lap)
+
+
 def test_single_node():
     info = information_matrix(laplacian(build_graph(1, [])))
     assert info.x.tolist() == [[0.0]]
