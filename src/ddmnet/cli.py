@@ -6,11 +6,9 @@ embed the full configuration so a run can be reproduced byte-for-byte.
 Exit codes: 0 ok, 1 verification failure, 2 usage or input errors, 3 an
 internal error (an unexpected exception, reported in one line on stderr).
 
-Importing this module loads numpy and no scipy. A command loads scipy only
-where it runs a scipy routine: the matrix exponential (curves, family,
-simulate, verify) or Dijkstra (centrality). analyze in JSON or CSV runs on
-numpy alone, on any graph. `main` runs scipy's bundled OpenBLAS on one thread
-from the moment scipy.linalg is loaded (README, "Threading").
+Every command runs on numpy alone, and no command loads scipy. numpy's
+BLAS keeps its default thread pool outside Monte Carlo chunks (README,
+"Threading").
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .certainty import (
 from .errors import DdmnetError, PathCapExceededError, StepCapError
 from .families import closed_form_covariance, closed_form_mu, make_family, parse_family_spec
 from .graph import load_graph
-from .lazyscipy import single_thread_blas_on_load
 from .request import Request
 from .simulate import SimConfig, empirical_moments, simulate_ensemble, validate_moments
 from .verify import FAIL, run_checks
@@ -390,7 +387,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command. The command function is looked up by name on each call,
     so replacing a module's cmd_<name> takes effect on the next call."""
-    single_thread_blas_on_load()
     args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)

@@ -144,9 +144,10 @@ class ClosedFormResult:
     reason: str | None = None
 
 
-def _circulant_eigenvalues(spec: FamilySpec) -> np.ndarray:
-    """Eigenvalues of a circulant Laplacian from the discrete Fourier transform
-    of its first row; index m = 0 is the zero eigenvalue."""
+def _circulant_rates(spec: FamilySpec) -> np.ndarray:
+    """Real parts Re lambda_m = sum_q r_q cos(2 pi q m / n) of a circulant
+    Laplacian's eigenvalues, from the discrete Fourier transform of its real
+    first row r; index m = 0 is the zero eigenvalue."""
     n, a = spec.n, spec.alpha
     offsets = _circulant_offsets(spec)
     first_row = np.zeros(n)
@@ -154,9 +155,7 @@ def _circulant_eigenvalues(spec: FamilySpec) -> np.ndarray:
     for o in offsets:
         first_row[o] -= a
     m = np.arange(n)
-    q = np.arange(n)
-    phases = np.exp(1j * 2.0 * np.pi * np.outer(q, m) / n)
-    return first_row @ phases
+    return first_row @ np.cos(2.0 * np.pi * np.outer(m, m) / n)
 
 
 def closed_form_mu(spec: FamilySpec, sigma: float = 1.0) -> ClosedFormResult:
@@ -180,8 +179,8 @@ def closed_form_mu(spec: FamilySpec, sigma: float = 1.0) -> ClosedFormResult:
         inv = sigma**2 * (n - 1) / (2.0 * a * n**2)
         inv_mu = np.full(n, inv)
     elif spec.kind in ("undirected_ring", "directed_ring", "circulant"):
-        lam = _circulant_eigenvalues(spec)
-        inv = sigma**2 / n * float((1.0 / (2.0 * lam[1:].real)).sum())
+        re = _circulant_rates(spec)
+        inv = sigma**2 / n * float((1.0 / (2.0 * re[1:])).sum())
         inv_mu = np.full(n, inv)
     elif spec.kind == "undirected_star":
         center = sigma**2 * (n - 1) / (2.0 * a * n**2)
@@ -213,18 +212,13 @@ def closed_form_covariance(spec: FamilySpec, params: ModelParams, t: float) -> n
         return s2 * (decay / (2 * n * a) * np.eye(n)
                      + (t / n - decay / (2 * n**2 * a)) * np.ones((n, n)))
     if spec.kind in ("undirected_ring", "directed_ring", "circulant"):
-        lam = _circulant_eigenvalues(spec)
-        idx = np.arange(n)
-        cov = np.full((n, n), t / n, dtype=complex)
-        for m in range(1, n):
-            mode = np.exp(1j * 2.0 * np.pi * idx * m / n) / math.sqrt(n)
-            re = lam[m].real
-            cov += -math.expm1(-2.0 * re * t) / (2.0 * re) * np.outer(mode, mode.conj())
-        imag_max = float(np.abs(cov.imag).max())
-        if imag_max > 1e-12 * max(1.0, float(np.abs(cov.real).max())):
-            raise ArithmeticError(f"imaginary residue {imag_max:.3e} in circulant covariance")
-        cov = s2 * cov.real
-        return (cov + cov.T) / 2.0
+        # the real part of the Fourier modes' sum: entry (k, j) is
+        # (t + sum_{m >= 1} g_m cos(2 pi m (k - j) / n)) / n
+        re = _circulant_rates(spec)[1:]
+        gain = -np.expm1(-2.0 * re * t) / (2.0 * re)
+        lag = np.arange(n)
+        column = (t + np.cos(2.0 * np.pi * np.outer(lag, np.arange(1, n)) / n) @ gain) / n
+        return s2 * column[np.abs(np.subtract.outer(lag, lag))]
     if spec.kind == "undirected_star":
         d_fast = -math.expm1(-2.0 * n * a * t)
         d_slow = -math.expm1(-2.0 * a * t)

@@ -47,7 +47,7 @@ import numpy as np
 from .certainty import ModelParams
 from .errors import StepCapError, UnstableStepError
 from .graph import WeightedDigraph, laplacian
-from .lazyscipy import numpy_blas_on_one_thread, single_thread_numpy_blas
+from .blasthreads import numpy_blas_on_one_thread, single_thread_numpy_blas
 
 # the chunk size is part of the deterministic-merge contract: chunk sums are
 # merged in chunk order, so results do not depend on the worker count
@@ -244,8 +244,8 @@ def _fixed_state_type() -> type:
     """An ISeedSequence whose generate_state returns one row of `_stream_states`.
 
     np.random.SFC64 seeds itself with generate_state(3, np.uint64) of the
-    sequence it is given. The class is made on first use, as scipy is
-    imported: importing ddmnet loads no numpy.random module.
+    sequence it is given. The class is made on first use, so that
+    importing ddmnet loads no numpy.random module.
     """
     from numpy.random.bit_generator import ISeedSequence
 
@@ -396,7 +396,7 @@ def simulate_ensemble(g: WeightedDigraph, cfg: SimConfig, workers: int | None = 
                 outers += o
     else:
         # the platform's default start method: where it is fork, workers reuse
-        # the parent's numpy/scipy imports instead of paying for them again.
+        # the parent's numpy imports instead of paying for them again.
         # The workers fill the CPUs between them, so each runs numpy's BLAS
         # on one thread for good; this process keeps its pool.
         with ProcessPoolExecutor(max_workers=workers, initializer=single_thread_numpy_blas) as pool:

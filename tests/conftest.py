@@ -50,19 +50,18 @@ def benchmark_graph() -> WeightedDigraph:
 
 
 @pytest.fixture
-def expm_calls(monkeypatch) -> list:
-    """Count scipy.linalg.expm calls made through ddmnet's scipy accessor; one entry per call."""
-    from ddmnet.lazyscipy import scipy_linalg
+def exponential_calls(monkeypatch) -> list:
+    """Count the Van Loan block exponentials ddmnet.certainty evaluates; one shape of L tau per call."""
+    import ddmnet.certainty
 
-    linalg = scipy_linalg()
     calls = []
-    real = linalg.expm
+    real = ddmnet.certainty._van_loan_pade
 
     def counting(a, *args, **kwargs):
         calls.append(np.shape(a))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "expm", counting)
+    monkeypatch.setattr(ddmnet.certainty, "_van_loan_pade", counting)
     return calls
 
 

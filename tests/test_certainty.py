@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from conftest import covariance_by_quadrature, effective_resistance_by_solve, random_connected_graph
 from ddmnet import (
@@ -23,11 +24,13 @@ from ddmnet import (
     laplacian,
     make_family,
     mirror_graph,
+    parse_family_spec,
     permute_graph,
     spectral_covariance,
     spectral_decompose,
     variance_envelope,
 )
+from ddmnet import certainty
 from ddmnet.certainty import _covariance_step
 from ddmnet.errors import DisconnectedGraphError, GraphValidationError
 
@@ -289,13 +292,13 @@ class TestAnalyticCovariance:
                 pointwise = np.diag(analytic_covariance(lap, params, float(t)))
                 assert np.abs(grid[i] - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
 
-    def test_curves_compute_one_exponential_per_grid(self, benchmark_graph, expm_calls):
+    def test_curves_compute_one_exponential_per_grid(self, benchmark_graph, exponential_calls):
         lap = laplacian(benchmark_graph)
         grid = covariance_curves(lap, PARAMS, 0.05, 101)
-        assert len(expm_calls) == 1
-        expm_calls.clear()
+        assert len(exponential_calls) == 1
+        exponential_calls.clear()
         single = covariance_curves(lap, PARAMS, 0.05, 1)
-        assert expm_calls == []
+        assert exponential_calls == []
         assert single.shape == (1, 5) and not single.any() and not grid[0].any()
 
     def test_curves_reject_bad_grid(self, benchmark_graph):
@@ -329,6 +332,57 @@ class TestPropagator:
         g = build_graph(3, [(1, 2, 1.0), (1, 3, 1.0)])
         rows = _covariance_step(laplacian(g), 1.0, 2.0)[0].sum(axis=1)
         assert np.abs(rows - 1.0).max() < 1e-9
+
+
+# one instance of every family kind; the imploding star's ||L||_1 is 39 while ||L||_inf is 2
+EVERY_KIND = ("complete:9:1", "undirected_ring:7:1", "directed_ring:7:1", "circulant(1,3):8:1.5",
+              "undirected_star:10:2", "undirected_path:12:1", "exploding_star:40:1",
+              "imploding_star:40:1")
+
+
+def scipy_van_loan(a, s):
+    """`_van_loan_pade`'s pair from scipy's expm of the whole 2n x 2n block."""
+    n = a.shape[0]
+    e = expm(np.block([[a, s * np.eye(n)], [np.zeros((n, n)), -a.T]]))
+    phi = e[n:, n:].T
+    return phi, phi @ e[:n, n:]
+
+
+def max_rel_gap(x, ref):
+    return float(np.abs(x - ref).max() / np.abs(ref).max())
+
+
+class TestVanLoanPade:
+    """The numpy Pade step against scipy's expm and against the closed forms."""
+
+    @pytest.mark.parametrize("spec", EVERY_KIND)
+    def test_step_matches_scipy_expm(self, spec, monkeypatch):
+        lap = laplacian(make_family(parse_family_spec(spec)))
+        for t in (1e-6, 0.5, 5.0):
+            for sigma2 in (1.0, 1e4):
+                ours = _covariance_step(lap, sigma2, t)
+                with monkeypatch.context() as patch:
+                    patch.setattr(certainty, "_van_loan_pade", scipy_van_loan)
+                    reference = _covariance_step(lap, sigma2, t)
+                for x, ref in zip(ours, reference):
+                    assert max_rel_gap(x, ref) <= 1e-12, (t, sigma2)
+
+    @pytest.mark.parametrize("theta", [theta for theta, _ in certainty._PADE])
+    def test_each_degree_matches_scipy_expm(self, theta):
+        # a block of 1-norm just inside theta_m takes the degree-m approximant
+        lap = laplacian(build_graph(4, [(1, 2, 1.0), (2, 3, 0.5), (3, 4, 2.0), (4, 1, 1.0), (1, 3, 0.75)]))
+        scale = 0.99 * theta / max(np.abs(lap).sum(axis=0).max(), 1.0 + np.abs(lap).sum(axis=1).max())
+        for x, ref in zip(certainty._van_loan_pade(lap * scale, scale), scipy_van_loan(lap * scale, scale)):
+            assert max_rel_gap(x, ref) <= 1e-13
+
+    @pytest.mark.parametrize("spec", EVERY_KIND)
+    def test_step_matches_closed_form_covariance(self, spec):
+        family = parse_family_spec(spec)
+        lap = laplacian(make_family(family))
+        for t in (1e-6, 0.5, 5.0):
+            for sigma2 in (1.0, 1e4):
+                closed = closed_form_covariance(family, ModelParams(sigma=math.sqrt(sigma2)), t)
+                assert max_rel_gap(_covariance_step(lap, sigma2, t)[1], closed) <= 1e-12, (t, sigma2)
 
 
 class TestEnvelopeAndDispersion:

@@ -13,12 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddmnet import GraphValidationError, build_graph, cli, graph_from_dict, graph_to_dict, load_graph
-from ddmnet import lazyscipy
 from ddmnet.cli import main
 from ddmnet.config import DEFAULT_TOL
 from ddmnet.graph import MAX_NODES
@@ -517,15 +515,6 @@ def openblas_threads() -> dict[str, int]:
     return threads
 
 
-@pytest.fixture
-def fresh_blas_setting(monkeypatch):
-    """main() requests scipy's BLAS on one thread once per process; let a test see it happen again."""
-    monkeypatch.setattr(lazyscipy, "_single_thread_requested", False)
-    lazyscipy._single_thread_scipy_blas.cache_clear()
-    yield
-    lazyscipy._single_thread_scipy_blas.cache_clear()
-
-
 def run_python(code: str) -> str:
     """Run code in a fresh interpreter with ddmnet importable; return its stdout."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
@@ -541,57 +530,31 @@ PRINT_BLAS_THREADS = (f"import ctypes, json\n{inspect.getsource(openblas_threads
                       "print(json.dumps(openblas_threads()))\n")
 
 
-def scipy_blas_path(threads: dict[str, int]) -> str:
-    """The OpenBLAS copy from scipy's wheel among those in `threads`."""
-    package = Path(scipy.__file__).resolve().parent
-    wheel = tuple(f"{d}{os.sep}" for d in (package, package.with_name("scipy.libs")))
-    (path,) = [p for p in threads if p.startswith(wheel)]
-    return path
-
-
 class TestBlasThreads:
-    def test_scipy_copy_runs_one_thread_and_numpy_keeps_its_pool(self, fresh_blas_setting, capsys):
-        before = openblas_threads()
-        if len(before) < 2:
-            pytest.skip("numpy and scipy share one BLAS here")
-        scipy_path = lazyscipy._wheel_openblas("scipy")._name
-        assert run_cli("family", "complete:4:1", capsys=capsys)[0] == 0
-        after = openblas_threads()
-        assert after.pop(scipy_path) == 1
-        assert after == {path: n for path, n in before.items() if path != scipy_path}
+    """numpy's BLAS keeps its default pool: commands and library calls leave
+    every OpenBLAS copy's thread count as they found it."""
 
-    def test_does_nothing_when_no_scipy_copy_is_found(self, fresh_blas_setting, monkeypatch, capsys):
-        setter = getattr(lazyscipy._wheel_openblas("scipy"), "scipy_openblas_set_num_threads", None)
-        if setter is not None:  # undo an earlier main(), so that a setting made now would show
-            setter(2)
-        monkeypatch.setattr(lazyscipy, "_wheel_openblas", lambda package: None)
+    def test_commands_keep_every_pool(self, capsys):
         before = openblas_threads()
-        assert run_cli("family", "complete:4:1", capsys=capsys)[0] == 0
+        for argv in (["family", "complete:4:1"], ["verify", BENCHMARK]):
+            assert run_cli(*argv, capsys=capsys)[0] == 0
         assert openblas_threads() == before
 
-    def test_cold_verify_runs_scipy_copy_on_one_thread(self):
-        # scipy is not loaded when main() starts, so the setting must wait for scipy.linalg
+    def test_cold_verify_keeps_numpy_pool(self):
         threads = json.loads(run_python(
-            "import os, sys\n"
+            "import os\n"
             "from ddmnet.cli import main\n"
-            "assert 'scipy' not in sys.modules\n"
             f"assert main(['verify', {BENCHMARK!r}, '--output', os.devnull]) == 0\n"
             + PRINT_BLAS_THREADS))
-        if len(threads) < 2:
-            pytest.skip("numpy and scipy share one BLAS here")
-        assert threads.pop(scipy_blas_path(threads)) == 1
         assert threads == json.loads(run_python("import numpy\n" + PRINT_BLAS_THREADS))
 
     def test_library_use_keeps_the_default_pools(self):
-        default = json.loads(run_python("import scipy.linalg\n" + PRINT_BLAS_THREADS))
-        if len(default) < 2:
-            pytest.skip("numpy and scipy share one BLAS here")
         threads = json.loads(run_python(
             "import ddmnet\n"
             "lap = ddmnet.laplacian(ddmnet.five_node_benchmark())\n"
             "ddmnet.analytic_covariance(lap, ddmnet.ModelParams(), 1.0)\n"
             + PRINT_BLAS_THREADS))
-        assert threads == default
+        assert threads == json.loads(run_python("import numpy\n" + PRINT_BLAS_THREADS))
 
 
 def scipy_modules_after(*argvs: list[str]) -> list[str]:
@@ -627,17 +590,20 @@ class TestImportBoundary:
                                    ["analyze", BENCHMARK, "--format", "csv"],
                                    ["analyze", "tests/data/ring3_path3.json"]) == []
 
+    def test_no_command_loads_scipy(self):
+        # the Van Loan exponential and closeness run on numpy too
+        assert scipy_modules_after(["analyze", "tests/data/digraph6.json", "--format", "curves"],
+                                   ["centrality", BENCHMARK], ["family", "complete:9:1"],
+                                   ["simulate", BENCHMARK, "--trajectories", "200", "--t-max", "0.1",
+                                    "--sample-times", "0.1"],
+                                   ["verify", BENCHMARK]) == []
+
     def test_import_and_symmetric_analyze_load_no_numpy_random(self):
         # the simulator imports numpy.random on first use
         assert numpy_random_modules_after() == []
         assert numpy_random_modules_after(["analyze", "tests/data/undirected60.json"]) == []
         assert "numpy.random" in numpy_random_modules_after(
             ["simulate", BENCHMARK, "--trajectories", "200", "--t-max", "0.1", "--sample-times", "0.1"])
-
-    @pytest.mark.parametrize("argv", [["centrality", BENCHMARK], ["verify", BENCHMARK]],
-                             ids=["centrality", "verify"])
-    def test_commands_that_run_scipy_routines_load_it(self, argv):
-        assert "scipy.linalg" in scipy_modules_after(argv)
 
 
 class TestInternalError:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ddmnet.lazyscipy as lazyscipy
+import ddmnet.blasthreads as blasthreads
 import ddmnet.simulate as simulate_module
 from ddmnet import (
     ModelParams,
@@ -264,7 +264,7 @@ class TestStreamSeeding:
 
 def numpy_blas_threads() -> int | None:
     """Thread count of numpy's own OpenBLAS copy, or None where none is mapped."""
-    lib = lazyscipy._wheel_openblas("numpy")
+    lib = blasthreads._numpy_openblas()
     for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
         fn = getattr(lib, symbol, None)
