@@ -1,8 +1,9 @@
 """The thread count of numpy's bundled OpenBLAS, held at one in Monte Carlo.
 
-numpy is ddmnet's only numerical library, and its linear algebra runs on
-the OpenBLAS copy bundled in numpy's wheel, with that copy's default thread
-pool. Importing ddmnet changes no process state.
+ddmnet's linear algebra runs on the OpenBLAS copy bundled in numpy's
+wheel, with that copy's default thread pool; scipy, loaded by closeness
+alone, serves Dijkstra, which calls no BLAS. Importing ddmnet changes no
+process state.
 
 Monte Carlo runs that copy on one thread: `single_thread_numpy_blas()`
 initializes each worker process, and `numpy_blas_on_one_thread()` holds the

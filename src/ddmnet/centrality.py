@@ -36,11 +36,15 @@ def geodesic_closeness(g: WeightedDigraph) -> tuple[np.ndarray, tuple[float, ...
     """All-pairs geodesic distances (edge length 1/w) and per-node closeness.
 
     Closeness of a node is the inverse of its mean distance to all nodes,
-    the zero self-distance included. Distances come from a min-plus
-    Floyd-Warshall over the arcs; lengths are positive by construction. A
-    length that overflows (a subnormal weight) raises GraphValidationError
-    naming its edge.
+    the zero self-distance included. Distances come from scipy's Dijkstra
+    over the arcs; lengths are positive by construction. A length that
+    overflows (a subnormal weight) raises GraphValidationError naming its edge.
+    scipy is imported here, on first use, so that commands which report no
+    closeness never load it.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     _require_undirected(g)
     n = g.n
     with np.errstate(over="ignore", divide="ignore"):
@@ -49,11 +53,8 @@ def geodesic_closeness(g: WeightedDigraph) -> tuple[np.ndarray, tuple[float, ...
         i = int(np.argmax(np.isinf(length)))
         raise GraphValidationError(f"edge ({g.src[i]}, {g.dst[i]}): length 1/w overflows double precision "
                                    f"(w = {g.w[i]:.3g})")
-    dist = np.full((n, n), math.inf)
-    dist[g.src - 1, g.dst - 1] = length
-    np.fill_diagonal(dist, 0.0)
-    for k in range(n):
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    lengths = csr_matrix((length, (g.src - 1, g.dst - 1)), shape=(n, n))
+    dist = shortest_path(lengths, method="D", directed=True)
     if not np.all(np.isfinite(dist)):
         raise DisconnectedGraphError("graph is disconnected: some geodesic distances are infinite")
     means = dist.sum(axis=1) / n

@@ -239,39 +239,29 @@ def _require_finite(lap: np.ndarray, t: float, *arrays: np.ndarray) -> None:
         raise DdmnetError(f"the covariance at t = {t:.6g} overflows double precision: {weight_range(lap)}")
 
 
-# Higham, SIAM J. Matrix Anal. Appl. 26:1179 (2005), Table 2.3: the [m/m] Pade
-# approximant of the exponential is accurate to double precision on matrices
-# of 1-norm up to theta_m. Pairs (theta_m, (b_0, ..., b_m)) for m = 3, 5, 7, 9, 13.
-_PADE = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
-    (2.097847961257068, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-                         2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    (5.371920351148152, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-                         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-                         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
-)
+# The [13/13] Pade approximant of the exponential, coefficients b_0, ..., b_13
+# (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 
 
 def _van_loan_pade(a: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi, Phi F), approximating (e^{-a}, e^{-a} F), from the [m/m] Pade
+    """(Phi, Phi F), approximating (e^{-a}, e^{-a} F), from the [13/13] Pade
     approximant r of Van Loan's block M = [[a, s I], [0, -a^T]], whose
     exponential is [[e^a, F], [0, e^{-a^T}]].
 
-    m is the least of 3, 5, 7, 9, 13 whose theta_m bounds ||M||_1, and 13
-    above theta_13, with no squaring: the caller keeps ||a||_inf <= 1. Every
-    power of M is block upper-triangular, and an even power's (2, 2) block is
-    its (1, 1) block transposed, so only top block rows are formed. With V
-    and U = M W the even and odd parts of r's numerator p, r = I + 2 q^{-1} U
-    for q = V - U, which keeps Phi's identity part exact. q(M)'s (2, 2) block
+    There is no squaring: the caller keeps ||a||_inf <= 1. Every power of M
+    is block upper-triangular, and an even power's (2, 2) block is its (1, 1)
+    block transposed, so only top block rows are formed. With V and U = M W
+    the even and odd parts of r's numerator p, r = I + 2 q^{-1} U for
+    q = V - U, which keeps Phi's identity part exact. q(M)'s (2, 2) block
     is p(M)'s (1, 1) block p11 transposed, so back substitution gives
     Phi = I - 2 E and Phi F = 2 p11^{-1} (u12 + q12 E^T), E = p11^{-1} u11:
     one factorization of p11.
     """
     n = a.shape[0]
-    norm = max(float(np.abs(a).sum(axis=0).max()), s + float(np.abs(a).sum(axis=1).max()))
-    b = next((b for theta, b in _PADE if norm <= theta), _PADE[-1][1])
+    b = _PADE13
     a2 = a @ a
     m2 = np.zeros((2 * n, 2 * n))  # M^2
     m2[:n, :n] = a2
@@ -279,10 +269,10 @@ def _van_loan_pade(a: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     m2[n:, n:] = a2.T
     row = np.eye(n, 2 * n)  # the top block row of M^0, then of M^2, M^4, ...
     v, w = b[0] * row, b[1] * row
-    for i in range(2, len(b), 2):
+    for b_even, b_odd in zip(b[2::2], b[3::2]):
         row = row @ m2
-        v += b[i] * row
-        w += b[i + 1] * row
+        v += b_even * row
+        w += b_odd * row
     u = a @ w  # the top block row of M W
     u[:, n:] += s * w[:, :n].T
     sol = np.linalg.solve(v[:, :n] + u[:, :n], np.hstack((u, v[:, n:] - u[:, n:])))
@@ -297,14 +287,16 @@ def _covariance_step(lap: np.ndarray, sigma2: float, t: float) -> tuple[np.ndarr
     on a short step tau = t / 2^k with ||L||_inf tau <= 1, then k doublings
     P <- P + Phi P Phi^T, Phi <- Phi^2. The doublings' relative error grows
     like machine epsilon times ||L||_inf t, so where that product reaches 1 no
-    digit of the pair would hold. Raises DdmnetError there and where the pair
-    is not finite.
+    digit of the pair would hold. Raises DdmnetError there, before any
+    arithmetic, and where the pair is not finite.
     """
     scaled = float(np.abs(lap).sum(axis=1).max()) * t
     if not math.isfinite(scaled):
         raise ValueError(f"||L||_inf * t = {scaled} is not finite at t = {t}")
     if scaled * sys.float_info.epsilon >= 1.0:
-        raise DdmnetError(f"the covariance at t = {t:.6g} overflows double precision: {weight_range(lap)}")
+        raise DdmnetError(f"the covariance at t = {t:.6g} cannot be computed in double precision: "
+                          f"||L||_inf * t = {scaled:.3g} reaches 1/eps = {1.0 / sys.float_info.epsilon:.3g}; "
+                          f"{weight_range(lap)}")
     k = math.ceil(math.log2(scaled)) if scaled > 1.0 else 0
     tau = t / 2.0**k
     with np.errstate(over="ignore", invalid="ignore"):

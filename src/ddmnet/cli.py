@@ -6,9 +6,9 @@ embed the full configuration so a run can be reproduced byte-for-byte.
 Exit codes: 0 ok, 1 verification failure, 2 usage or input errors, 3 an
 internal error (an unexpected exception, reported in one line on stderr).
 
-Every command runs on numpy alone, and no command loads scipy. numpy's
-BLAS keeps its default thread pool outside Monte Carlo chunks (README,
-"Threading").
+Every command but `centrality`, whose closeness runs scipy's Dijkstra,
+runs on numpy alone. numpy's BLAS keeps its default thread pool outside
+Monte Carlo chunks (README, "Threading").
 """
 
 from __future__ import annotations

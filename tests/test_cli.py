@@ -373,13 +373,31 @@ class TestGraphIO:
                                       ["family", "complete:3:1e150"]])
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
     def test_weights_beyond_the_covariance_propagator_are_usage_error(self, argv, tmp_path, capsys):
-        # the normality test passes, but the Van Loan doubling overflows
+        # the normality test passes, but ||L||_inf t lies far beyond 1/eps, where the
+        # Van Loan doublings keep no digit
         path = write_graph(tmp_path, {"n": 3, "edges": [[1, 2, 1e150], [2, 3, 1e150], [1, 3, 1e150]],
                                       "undirected": True})
         code, out = run_cli(*(arg.format(path=path) for arg in argv), capsys=capsys)
         assert code == 2
-        assert re.fullmatch(r"error: the covariance at t = \S+ overflows double precision: "
+        assert re.fullmatch(r"error: the covariance at t = \S+ cannot be computed in double precision: "
+                            r"\|\|L\|\|_inf \* t = \S+ reaches 1/eps = 4\.5e\+15; "
                             r"edge weights lie in \[1e\+150, 1e\+150\]\n", out.err)
+        assert out.out == ""
+
+    # complete:4:1 has ||L||_inf = 6, so ||L||_inf t crosses 1/eps = 4.5e15 between these times
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_covariance_below_the_precision_limit_is_computed(self, capsys):
+        code, out = run_cli("family", "complete:4:1", "--times", "1e14", capsys=capsys)
+        assert code == 0
+        assert out.err == ""
+        assert json.loads(out.out)["config"]["times"] == [1e14]
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_covariance_beyond_the_precision_limit_is_usage_error(self, capsys):
+        code, out = run_cli("family", "complete:4:1", "--times", "1e15", capsys=capsys)
+        assert code == 2
+        assert out.err == ("error: the covariance at t = 1e+15 cannot be computed in double precision: "
+                           "||L||_inf * t = 6e+15 reaches 1/eps = 4.5e+15; edge weights lie in [1, 1]\n")
         assert out.out == ""
 
     @pytest.mark.parametrize("argv", [["analyze", BENCHMARK], ["family", "complete:3:1"],
@@ -590,13 +608,18 @@ class TestImportBoundary:
                                    ["analyze", BENCHMARK, "--format", "csv"],
                                    ["analyze", "tests/data/ring3_path3.json"]) == []
 
-    def test_no_command_loads_scipy(self):
-        # the Van Loan exponential and closeness run on numpy too
+    def test_commands_without_closeness_load_no_scipy(self):
+        # the Van Loan exponential runs on numpy too
         assert scipy_modules_after(["analyze", "tests/data/digraph6.json", "--format", "curves"],
-                                   ["centrality", BENCHMARK], ["family", "complete:9:1"],
+                                   ["family", "complete:9:1"],
                                    ["simulate", BENCHMARK, "--trajectories", "200", "--t-max", "0.1",
                                     "--sample-times", "0.1"],
                                    ["verify", BENCHMARK]) == []
+
+    @pytest.mark.parametrize("argv", [["centrality", BENCHMARK]], ids=["centrality"])
+    def test_commands_that_run_scipy_routines_load_it(self, argv):
+        # closeness runs scipy's Dijkstra
+        assert "scipy.sparse.csgraph" in scipy_modules_after(argv)
 
     def test_import_and_symmetric_analyze_load_no_numpy_random(self):
         # the simulator imports numpy.random on first use
