@@ -246,26 +246,25 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353
            40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 
 
-def _van_loan_pade(a: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi, Phi F), approximating (e^{-a}, e^{-a} F), from the [13/13] Pade
-    approximant r of Van Loan's block M = [[a, s I], [0, -a^T]], whose
-    exponential is [[e^a, F], [0, e^{-a^T}]].
+def _van_loan_pade(a: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(E, P), approximating (e^{-a} - I, e^{-a} F), from the [13/13] Pade
+    approximant r of Van Loan's unit-noise block M = [[a, tau I], [0, -a^T]],
+    whose exponential is [[e^a, F], [0, e^{-a^T}]].
 
     There is no squaring: the caller keeps ||a||_inf <= 1. Every power of M
     is block upper-triangular, and an even power's (2, 2) block is its (1, 1)
     block transposed, so only top block rows are formed. With V and U = M W
     the even and odd parts of r's numerator p, r = I + 2 q^{-1} U for
-    q = V - U, which keeps Phi's identity part exact. q(M)'s (2, 2) block
-    is p(M)'s (1, 1) block p11 transposed, so back substitution gives
-    Phi = I - 2 E and Phi F = 2 p11^{-1} (u12 + q12 E^T), E = p11^{-1} u11:
-    one factorization of p11.
+    q = V - U. q(M)'s (2, 2) block is p(M)'s (1, 1) block p11 transposed, so
+    back substitution gives E = -2 G, G = p11^{-1} u11, with no identity to
+    cancel, and P = 2 p11^{-1} (u12 + q12 G^T): one factorization of p11.
     """
     n = a.shape[0]
     b = _PADE13
     a2 = a @ a
     m2 = np.zeros((2 * n, 2 * n))  # M^2
     m2[:n, :n] = a2
-    m2[:n, n:] = s * (a - a.T)
+    m2[:n, n:] = tau * (a - a.T)
     m2[n:, n:] = a2.T
     row = np.eye(n, 2 * n)  # the top block row of M^0, then of M^2, M^4, ...
     v, w = b[0] * row, b[1] * row
@@ -274,21 +273,22 @@ def _van_loan_pade(a: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
         v += b_even * row
         w += b_odd * row
     u = a @ w  # the top block row of M W
-    u[:, n:] += s * w[:, :n].T
+    u[:, n:] += tau * w[:, :n].T
     sol = np.linalg.solve(v[:, :n] + u[:, :n], np.hstack((u, v[:, n:] - u[:, n:])))
-    e = sol[:, :n]
-    return np.eye(n) - 2.0 * e, 2.0 * (sol[:, n:2 * n] + sol[:, 2 * n:] @ e.T)
+    g = sol[:, :n]
+    return -2.0 * g, 2.0 * (sol[:, n:2 * n] + sol[:, 2 * n:] @ g.T)
 
 
-def _covariance_step(lap: np.ndarray, sigma2: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(expm(-L t), P(t)) for dP/dt = sigma^2 I - L P - P L^T with P(0) = 0.
+def _covariance_step(lap: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(E, P) = (expm(-L t) - I, P(t)) for the unit-noise covariance ODE
+    dP/dt = I - L P - P L^T with P(0) = 0; sigma^2 P(t) is the covariance.
 
     Van Loan's block exponential (IEEE TAC 23:395, 1978), by `_van_loan_pade`
     on a short step tau = t / 2^k with ||L||_inf tau <= 1, then k doublings
-    P <- P + Phi P Phi^T, Phi <- Phi^2. The doublings' relative error grows
-    like machine epsilon times ||L||_inf t, so where that product reaches 1 no
-    digit of the pair would hold. Raises DdmnetError there, before any
-    arithmetic, and where the pair is not finite.
+    by `_covariance_doubled`. Their relative error grows like machine epsilon
+    times ||L||_inf t, so where that product reaches 1 no digit of the pair
+    would hold. Raises DdmnetError there, before any arithmetic, and where
+    the pair is not finite.
     """
     scaled = float(np.abs(lap).sum(axis=1).max()) * t
     if not math.isfinite(scaled):
@@ -299,82 +299,87 @@ def _covariance_step(lap: np.ndarray, sigma2: float, t: float) -> tuple[np.ndarr
                           f"{weight_range(lap)}")
     k = math.ceil(math.log2(scaled)) if scaled > 1.0 else 0
     tau = t / 2.0**k
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi, p = _van_loan_pade(lap * tau, sigma2 * tau)
-        for _ in range(k):
-            p = p + phi @ p @ phi.T
-            phi = phi @ phi
-    _require_finite(lap, t, phi, p)
-    return phi, (p + p.T) / 2.0
+    _, e, p = _covariance_doubled(lap, *_van_loan_pade(lap * tau, tau), tau, k)
+    return e, (p + p.T) / 2.0
+
+
+def _times_sigma2(sigma: float, t: float, unit: np.ndarray) -> np.ndarray:
+    """sigma^2 times the unit-noise covariance `unit` at time t. Raises
+    DdmnetError naming sigma where the product overflows."""
+    with np.errstate(over="ignore"):
+        cov = sigma**2 * unit
+    if not np.isfinite(cov).all():
+        raise DdmnetError(f"the covariance at t = {t:.6g} overflows double precision: "
+                          f"sigma = {sigma:.6g} is too large")
+    return cov
 
 
 def analytic_covariance(lap: np.ndarray, params: ModelParams, t: float) -> np.ndarray:
     """State covariance at time t from zero initial conditions, for any digraph.
 
-    Propagates the covariance ODE exactly with a Van Loan block exponential
-    plus doubling (`_covariance_step`), including Laplacians that are
-    defective. Its relative error grows like machine epsilon times ||L|| t.
-    `spectral_covariance` is the eigenmode closed form for normal Laplacians.
+    sigma^2 times the unit-noise covariance that a Van Loan block exponential
+    plus doubling (`_covariance_step`) propagates exactly, including
+    Laplacians that are defective. Its relative error grows like machine
+    epsilon times ||L|| t. `spectral_covariance` is the eigenmode closed form
+    for normal Laplacians.
     """
     lap = np.asarray(lap, dtype=float)
     _check_time(t)
     if t == 0.0:
         return np.zeros(lap.shape)
-    return _covariance_step(lap, params.sigma**2, t)[1]
+    return _times_sigma2(params.sigma, t, _covariance_step(lap, t)[1])
 
 
-def _covariance_walk(lap: np.ndarray, phi: np.ndarray, p_step: np.ndarray,
+def _covariance_walk(lap: np.ndarray, e: np.ndarray, p_step: np.ndarray,
                      t_step: float) -> Iterator[np.ndarray]:
-    """P(t_step), P(2 t_step), ... from the step pair (Phi, P_step) of
-    _covariance_step(lap, sigma2, t_step).
+    """P(t_step), P(2 t_step), ... from the step pair (E, P_step) of
+    _covariance_step(lap, t_step).
 
     P((i + 1) t_step) = Phi P(i t_step) Phi^T + P_step is exact, so one step
-    pair serves a whole uniform grid. Raises DdmnetError at the first P that
-    is not finite.
+    pair serves a whole uniform grid; with Q = P + E P it is Q + Q E^T + P_step.
+    Raises DdmnetError at the first P that is not finite.
     """
     p, t = p_step, t_step
     while True:
         yield p
         with np.errstate(over="ignore", invalid="ignore"):
-            p = phi @ p @ phi.T + p_step
+            q = p + e @ p
+            p = q + q @ e.T + p_step
         t += t_step
         _require_finite(lap, t, p)
 
 
-def _covariance_doubled(lap: np.ndarray, phi: np.ndarray, p: np.ndarray, t: float,
-                        k: int) -> tuple[float, np.ndarray]:
-    """(2^k t, P(2^k t)) from the step pair (Phi, P) of _covariance_step(lap, sigma2, t).
+def _covariance_doubled(lap: np.ndarray, e: np.ndarray, p: np.ndarray, t: float,
+                        k: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(2^k t, E(2^k t), P(2^k t)) from the unit-noise step pair (E, P) at time t.
 
     The k doublings P <- P + Phi P Phi^T, Phi <- Phi^2 carry Phi as its
-    deviation E = Phi - I, with E's diagonal the negated off-diagonal row sum
-    (the rows of expm(-L t) sum to 1). Where ||L|| t is far below 1, Phi rounds
-    to I and the dynamics survive only in E. Raises DdmnetError where the time
-    or P overflows.
+    deviation E = Phi - I: with Q = P + E P, P <- P + Q + Q E^T and
+    E <- 2 E + E^2. Where ||L|| t is far below 1, Phi rounds to I and the
+    dynamics survive only in E. Raises DdmnetError where the time, E or P
+    overflows.
     """
     try:
         t_late = math.ldexp(t, k)
     except OverflowError:
         raise DdmnetError(f"the covariance at t = {t:.6g} * 2^{k} overflows double precision: "
                           f"{weight_range(lap)}") from None
-    e = phi.copy()
-    np.fill_diagonal(e, 0.0)
-    np.fill_diagonal(e, -e.sum(axis=1))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(k):
-            phi_p = p + e @ p
-            p = p + phi_p + phi_p @ e.T
+            q = p + e @ p
+            p = p + q + q @ e.T
             e = 2.0 * e + e @ e
-    _require_finite(lap, t_late, p)
-    return t_late, p
+    _require_finite(lap, t_late, e, p)
+    return t_late, e, p
 
 
 def covariance_curves(lap: np.ndarray, params: ModelParams, t_step: float, count: int) -> np.ndarray:
     """Per-node variance Var(x_k(i t_step)) for i = 0 .. count - 1, shape (count, n).
 
-    Computes one exact step pair for the grid and walks it with
-    _covariance_walk, keeping only each point's diagonal, so memory stays
-    O(n^2) for any count. count == 1 is the t = 0 row and needs no
-    exponential. Works for every digraph.
+    Computes one exact unit-noise step pair for the grid and walks it with
+    _covariance_walk, keeping only each point's diagonal times sigma^2, so
+    memory stays O(n^2) for any count. count == 1 is the t = 0 row and needs
+    no exponential. Works for every digraph.
     """
     lap = np.asarray(lap, dtype=float)
     if not 0.0 < t_step < math.inf:
@@ -383,9 +388,9 @@ def covariance_curves(lap: np.ndarray, params: ModelParams, t_step: float, count
         raise ValueError(f"count must be >= 1, got {count}")
     out = np.zeros((count, lap.shape[0]))
     if count > 1:
-        walk = _covariance_walk(lap, *_covariance_step(lap, params.sigma**2, t_step), t_step)
-        for row, p in zip(out[1:], walk):
-            row[:] = np.diag(p)
+        walk = _covariance_walk(lap, *_covariance_step(lap, t_step), t_step)
+        for i, (row, p) in enumerate(zip(out[1:], walk), 1):
+            row[:] = _times_sigma2(params.sigma, i * t_step, np.diag(p))
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ddmnet import (
     dispersion_summary,
     information_matrix,
     laplacian,
+    load_graph,
     make_family,
     mirror_graph,
     parse_family_spec,
@@ -325,12 +327,12 @@ class TestPropagator:
     def test_row_stochastic(self, benchmark_graph):
         lap = laplacian(benchmark_graph)
         for t in (0.1, 1.0, 5.0):
-            rows = _covariance_step(lap, 1.0, t)[0].sum(axis=1)
+            rows = (np.eye(5) + _covariance_step(lap, t)[0]).sum(axis=1)
             assert np.abs(rows - 1.0).max() < 1e-9
 
     def test_row_stochastic_non_normal(self):
         g = build_graph(3, [(1, 2, 1.0), (1, 3, 1.0)])
-        rows = _covariance_step(laplacian(g), 1.0, 2.0)[0].sum(axis=1)
+        rows = (np.eye(3) + _covariance_step(laplacian(g), 2.0)[0]).sum(axis=1)
         assert np.abs(rows - 1.0).max() < 1e-9
 
 
@@ -340,12 +342,12 @@ EVERY_KIND = ("complete:9:1", "undirected_ring:7:1", "directed_ring:7:1", "circu
               "imploding_star:40:1")
 
 
-def scipy_van_loan(a, s):
-    """`_van_loan_pade`'s pair from scipy's expm of the whole 2n x 2n block."""
+def scipy_van_loan(a, tau):
+    """`_van_loan_pade`'s pair (Phi - I, P) from scipy's expm of the whole 2n x 2n block."""
     n = a.shape[0]
-    e = expm(np.block([[a, s * np.eye(n)], [np.zeros((n, n)), -a.T]]))
+    e = expm(np.block([[a, tau * np.eye(n)], [np.zeros((n, n)), -a.T]]))
     phi = e[n:, n:].T
-    return phi, phi @ e[:n, n:]
+    return phi - np.eye(n), phi @ e[:n, n:]
 
 
 def max_rel_gap(x, ref):
@@ -353,28 +355,65 @@ def max_rel_gap(x, ref):
 
 
 class TestVanLoanPade:
-    """The numpy Pade step against scipy's expm and against the closed forms."""
+    """The numpy Pade step against scipy's expm and against the closed forms. The
+    propagator is compared as I + E with scipy's Phi: at t = 1e-6, Phi - I would
+    cancel all but the last digits of the reference."""
 
     @pytest.mark.parametrize("spec", EVERY_KIND)
     def test_step_matches_scipy_expm(self, spec, monkeypatch):
         lap = laplacian(make_family(parse_family_spec(spec)))
+        eye = np.eye(lap.shape[0])
         for t in (1e-6, 0.5, 5.0):
-            for sigma2 in (1.0, 1e4):
-                ours = _covariance_step(lap, sigma2, t)
-                with monkeypatch.context() as patch:
-                    patch.setattr(certainty, "_van_loan_pade", scipy_van_loan)
-                    reference = _covariance_step(lap, sigma2, t)
-                for x, ref in zip(ours, reference):
-                    assert max_rel_gap(x, ref) <= 1e-12, (t, sigma2)
+            e, p = _covariance_step(lap, t)
+            with monkeypatch.context() as patch:
+                patch.setattr(certainty, "_van_loan_pade", scipy_van_loan)
+                e_ref, p_ref = _covariance_step(lap, t)
+            assert max_rel_gap(eye + e, eye + e_ref) <= 1e-12, t
+            assert max_rel_gap(p, p_ref) <= 1e-12, t
 
     @pytest.mark.parametrize("spec", EVERY_KIND)
     def test_step_matches_closed_form_covariance(self, spec):
         family = parse_family_spec(spec)
         lap = laplacian(make_family(family))
         for t in (1e-6, 0.5, 5.0):
-            for sigma2 in (1.0, 1e4):
-                closed = closed_form_covariance(family, ModelParams(sigma=math.sqrt(sigma2)), t)
-                assert max_rel_gap(_covariance_step(lap, sigma2, t)[1], closed) <= 1e-12, (t, sigma2)
+            closed = closed_form_covariance(family, PARAMS, t)
+            assert max_rel_gap(_covariance_step(lap, t)[1], closed) <= 1e-12, t
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SCALING_GRAPHS = {
+    "fixture": load_graph(str(ROOT / "fixtures/five_node_benchmark.json")),
+    "digraph6": load_graph(str(ROOT / "tests/data/digraph6.json")),
+    "imploding_star": make_family(FamilySpec("imploding_star", 6)),
+}
+
+
+class TestScalingLaw:
+    """sigma^2 multiplies the unit-noise covariance once, at the end: one rounding
+    per entry, none at all where sigma^2 is a power of two."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(SCALING_GRAPHS)), st.integers(-60, 500))
+    def test_power_of_two_sigma_scales_exactly(self, name, k):
+        lap = laplacian(SCALING_GRAPHS[name])
+        scaled = ModelParams(sigma=2.0**k)
+        for t in (1e-6, 0.5, 5.0):
+            assert np.array_equal(analytic_covariance(lap, scaled, t),
+                                  4.0**k * analytic_covariance(lap, PARAMS, t)), t
+        assert np.array_equal(covariance_curves(lap, scaled, 0.05, 101),
+                              4.0**k * covariance_curves(lap, PARAMS, 0.05, 101))
+
+    @pytest.mark.parametrize("spec", EVERY_KIND)
+    def test_sigma_squared_1e4_is_one_product(self, spec):
+        # sigma^2 = 1e4 is no power of two: each entry is the one rounded product
+        # 1e4 * P, still within 1e-12 of the closed form
+        family = parse_family_spec(spec)
+        lap = laplacian(make_family(family))
+        params = ModelParams(sigma=100.0)
+        for t in (1e-6, 0.5, 5.0):
+            cov = analytic_covariance(lap, params, t)
+            assert np.array_equal(cov, 1e4 * _covariance_step(lap, t)[1]), t
+            assert max_rel_gap(cov, closed_form_covariance(family, params, t)) <= 1e-12, t
 
 
 class TestEnvelopeAndDispersion:

@@ -290,6 +290,20 @@ class TestVerify:
         assert statuses["covariance-envelope-bounds"] == "SKIP"
         assert statuses["row-stochastic-propagator"] == "PASS"
 
+    @pytest.mark.parametrize("sigma", ["9.5367431640625e-07", "20", "1e3", "1e150"])
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_checks_do_not_depend_on_sigma(self, sigma, tmp_path, capsys):
+        # sigma^2 only scales the covariance, so every check reads the same status as at sigma = 1
+        statuses = []
+        for value in ("1", sigma):
+            out_file = tmp_path / f"verify_{value}.json"
+            code, out = run_cli("verify", BENCHMARK, "--sigma", value, "--output", str(out_file),
+                                capsys=capsys)
+            assert code == 0, out.err
+            statuses.append({c["name"]: c["status"] for c in json.loads(out_file.read_text())["checks"]})
+        assert statuses[1] == statuses[0]
+        assert "FAIL" not in statuses[1].values()
+
     def test_tiny_weights_pass(self, tmp_path, capsys):
         # every check is scale-free at 1e-9: the solve basis is shifted by
         # the mean degree and rank_nodes rounds relative to the largest score
@@ -434,6 +448,28 @@ class TestGraphIO:
         assert code == 2
         assert out.err == (f"error: the spectral certainty overflows double precision: "
                            f"sigma = {float(sigma):.6g} is too large for this graph\n")
+        assert out.out == ""
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_large_sigma_gives_a_finite_family_report(self, capsys):
+        # sigma^2 = 1e300 scales a unit-noise covariance of at most t = 5
+        code, out = run_cli("family", "complete:3:1", "--sigma", "1e150", capsys=capsys)
+        assert code == 0, out.err
+        report = json.loads(out.out, parse_constant=lambda name: pytest.fail(f"report holds {name}"))
+        assert report["closed_form"]["inv_mu"][0] == pytest.approx(1e300 / 9, rel=1e-12)
+
+    @pytest.mark.parametrize("argv,t", [(["family", "complete:3:1", "--times", "5"], "5"),
+                                        (["analyze", "tests/data/digraph6.json", "--format", "curves"],
+                                         "2.35")],
+                             ids=["family", "curves"])
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_sigma_overflowing_the_covariance_is_usage_error(self, argv, t, capsys):
+        # sigma^2 = 1.69e308 times a unit-noise variance above 1.06 overflows; the
+        # curves grid reports its first such time
+        code, out = run_cli(*argv, "--sigma", "1.3e154", capsys=capsys)
+        assert code == 2
+        assert out.err == (f"error: the covariance at t = {t} overflows double precision: "
+                           "sigma = 1.3e+154 is too large\n")
         assert out.out == ""
 
     @pytest.mark.parametrize("command", ["analyze", "centrality", "verify"])
