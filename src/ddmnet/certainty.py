@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,14 +302,16 @@ def _covariance_step(lap: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]
     return e, (p + p.T) / 2.0
 
 
-def _times_sigma2(sigma: float, t: float, unit: np.ndarray) -> np.ndarray:
-    """sigma^2 times the unit-noise covariance `unit` at time t. Raises
-    DdmnetError naming sigma where the product overflows."""
+def _times_sigma2(sigma: float, times: np.ndarray | list[float], unit: np.ndarray) -> np.ndarray:
+    """sigma^2 times the unit-noise covariances `unit`, whose leading axis runs
+    over `times`. Raises DdmnetError naming sigma and the first time where the
+    product overflows."""
     with np.errstate(over="ignore"):
         cov = sigma**2 * unit
-    if not np.isfinite(cov).all():
-        raise DdmnetError(f"the covariance at t = {t:.6g} overflows double precision: "
-                          f"sigma = {sigma:.6g} is too large")
+    finite = np.isfinite(cov).reshape(len(times), -1).all(axis=1)
+    if not finite.all():
+        raise DdmnetError(f"the covariance at t = {times[np.argmin(finite)]:.6g} overflows "
+                          f"double precision: sigma = {sigma:.6g} is too large")
     return cov
 
 
@@ -327,26 +328,7 @@ def analytic_covariance(lap: np.ndarray, params: ModelParams, t: float) -> np.nd
     _check_time(t)
     if t == 0.0:
         return np.zeros(lap.shape)
-    return _times_sigma2(params.sigma, t, _covariance_step(lap, t)[1])
-
-
-def _covariance_walk(lap: np.ndarray, e: np.ndarray, p_step: np.ndarray,
-                     t_step: float) -> Iterator[np.ndarray]:
-    """P(t_step), P(2 t_step), ... from the step pair (E, P_step) of
-    _covariance_step(lap, t_step).
-
-    P((i + 1) t_step) = Phi P(i t_step) Phi^T + P_step is exact, so one step
-    pair serves a whole uniform grid; with Q = P + E P it is Q + Q E^T + P_step.
-    Raises DdmnetError at the first P that is not finite.
-    """
-    p, t = p_step, t_step
-    while True:
-        yield p
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = p + e @ p
-            p = q + q @ e.T + p_step
-        t += t_step
-        _require_finite(lap, t, p)
+    return _times_sigma2(params.sigma, [t], _covariance_step(lap, t)[1][None])[0]
 
 
 def _covariance_doubled(lap: np.ndarray, e: np.ndarray, p: np.ndarray, t: float,
@@ -373,13 +355,49 @@ def _covariance_doubled(lap: np.ndarray, e: np.ndarray, p: np.ndarray, t: float,
     return t_late, e, p
 
 
+def _variance_walk(lap: np.ndarray, e: np.ndarray, p_step: np.ndarray, t_step: float,
+                   count: int) -> np.ndarray:
+    """Unit-noise variances diag P(i t_step) for i = 1 .. count, shape (count, n),
+    from the step pair (E, P_step) of _covariance_step(lap, t_step).
+
+    P(i t_step) is the sum over j < i of Phi^j P_step Phi^jT, so with the
+    Cholesky factor P_step = C C^T its diagonal adds the row sums of
+    C_j o C_j, where C_j = Phi^j C and C_{j + 1} = C_j + E C_j: one n x n
+    product per grid point, and every term is nonnegative, so each variance
+    is nondecreasing along the grid. Raises DdmnetError where P_step has no
+    Cholesky factor in double precision, and naming the first t whose
+    variance is not finite.
+    """
+    try:
+        c = np.linalg.cholesky(p_step)
+    except np.linalg.LinAlgError:
+        raise DdmnetError(f"the covariance at t = {t_step:.6g} is not positive definite in "
+                          f"double precision: {weight_range(lap)}") from None
+    out = np.empty((count, c.shape[0]))
+    buf = np.empty_like(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(out):
+            if i:
+                np.matmul(e, c, out=buf)
+                c += buf
+            np.einsum("ij,ij->i", c, c, out=row)
+        np.cumsum(out, axis=0, out=out)
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        t = (int(np.argmin(finite)) + 1) * t_step
+        raise DdmnetError(f"the covariance at t = {t:.6g} overflows double precision: {weight_range(lap)}")
+    return out
+
+
 def covariance_curves(lap: np.ndarray, params: ModelParams, t_step: float, count: int) -> np.ndarray:
     """Per-node variance Var(x_k(i t_step)) for i = 0 .. count - 1, shape (count, n).
 
-    Computes one exact unit-noise step pair for the grid and walks it with
-    _covariance_walk, keeping only each point's diagonal times sigma^2, so
-    memory stays O(n^2) for any count. count == 1 is the t = 0 row and needs
-    no exponential. Works for every digraph.
+    One exact unit-noise step pair serves the whole grid: `_variance_walk`
+    carries its Cholesky factor, one product per point, and sigma^2
+    multiplies the block once. Memory stays O(n^2 + count n), and every
+    column is nondecreasing. count == 1 is the t = 0 row and needs no
+    exponential. Works for every digraph. Raises DdmnetError naming sigma
+    and the first time whose variance overflows.
     """
     lap = np.asarray(lap, dtype=float)
     if not 0.0 < t_step < math.inf:
@@ -388,9 +406,8 @@ def covariance_curves(lap: np.ndarray, params: ModelParams, t_step: float, count
         raise ValueError(f"count must be >= 1, got {count}")
     out = np.zeros((count, lap.shape[0]))
     if count > 1:
-        walk = _covariance_walk(lap, *_covariance_step(lap, t_step), t_step)
-        for i, (row, p) in enumerate(zip(out[1:], walk), 1):
-            row[:] = _times_sigma2(params.sigma, i * t_step, np.diag(p))
+        unit = _variance_walk(lap, *_covariance_step(lap, t_step), t_step, count - 1)
+        out[1:] = _times_sigma2(params.sigma, t_step * np.arange(1, count), unit)
     return out
 
 

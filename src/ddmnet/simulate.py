@@ -39,13 +39,12 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certainty import ModelParams
-from .errors import StepCapError, UnstableStepError
+from .errors import DdmnetError, StepCapError, UnstableStepError
 from .graph import WeightedDigraph, laplacian
 from .blasthreads import numpy_blas_on_one_thread, single_thread_numpy_blas
 
@@ -304,9 +303,11 @@ def _panel_operator(step_matrix_t: np.ndarray, span: int,
     return stack.reshape(span * n, n), power
 
 
+@np.errstate(over="ignore", invalid="ignore")  # simulate_ensemble names an overflow's cause
 def _simulate_chunk(lap: np.ndarray, cfg: SimConfig, lo: int, hi: int,
                     sample_steps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Moment sums over trajectories [lo, hi); pure function of its arguments.
+    States that overflow run on to inf or nan.
 
     Panels end at every sample step and span at most PANEL_STEPS steps. By
     `_takes_steps`, each panel advances the whole batch with one product
@@ -388,8 +389,8 @@ def simulate_ensemble(g: WeightedDigraph, cfg: SimConfig, workers: int | None = 
     workers = _worker_count(workers, len(bounds))
     if workers == 1:
         # one BLAS thread, as in the pool workers: the panel products' bits
-        # depend on the thread count
-        with numpy_blas_on_one_thread():
+        # depend on the thread count. Overflowing sums are named below.
+        with numpy_blas_on_one_thread(), np.errstate(over="ignore", invalid="ignore"):
             for lo, hi in bounds:
                 s, o = _simulate_chunk(lap, cfg, lo, hi, sample_steps)
                 sums += s
@@ -398,15 +399,30 @@ def simulate_ensemble(g: WeightedDigraph, cfg: SimConfig, workers: int | None = 
         # the platform's default start method: where it is fork, workers reuse
         # the parent's numpy imports instead of paying for them again.
         # The workers fill the CPUs between them, so each runs numpy's BLAS
-        # on one thread for good; this process keeps its pool.
-        with ProcessPoolExecutor(max_workers=workers, initializer=single_thread_numpy_blas) as pool:
+        # on one thread for good; this process keeps its pool. Only a pool
+        # loads concurrent.futures and multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with (ProcessPoolExecutor(max_workers=workers, initializer=single_thread_numpy_blas) as pool,
+              np.errstate(over="ignore", invalid="ignore")):
             futures = [pool.submit(_simulate_chunk, lap, cfg, lo, hi, sample_steps)
                        for lo, hi in bounds]
             for fut in futures:  # merge strictly in chunk order
                 s, o = fut.result()
                 sums += s
                 outers += o
+    finite = np.isfinite(sums).all(axis=1) & np.isfinite(outers).all(axis=(1, 2))
+    if not finite.all():
+        raise _overflow_error(cfg.params, min(t for t, ok in zip(cfg.sample_times, finite) if not ok))
     return Ensemble(n=g.n, config=cfg, sums=sums, outers=outers)
+
+
+def _overflow_error(params: ModelParams, t: float) -> DdmnetError:
+    """The error for moments at time t that overflow double precision. It names
+    sigma, or beta where the drift beta t outgrows the noise sigma sqrt(t)."""
+    cause = (f"sigma = {params.sigma:.6g}" if params.sigma >= abs(params.beta) * math.sqrt(t)
+             else f"beta = {params.beta:.6g}")
+    return DdmnetError(f"the simulated moments at t = {t:.6g} overflow double precision: {cause} is too large")
 
 
 def empirical_moments(ensemble: Ensemble, t: float) -> MomentReport:
@@ -424,10 +440,19 @@ def empirical_moments(ensemble: Ensemble, t: float) -> MomentReport:
     m = ensemble.trajectories
     mean = ensemble.sums[idx] / m
     cov = (ensemble.outers[idx] - m * np.outer(mean, mean)) / (m - 1)
-    cov = (cov + cov.T) / 2.0
+    # halving is exact above the subnormal range: this is (cov + cov.T) / 2 bit
+    # for bit, and stays finite where cov + cov.T overflows (two trajectories)
+    cov = cov / 2.0 + cov.T / 2.0
     var = np.diag(cov)
-    se_cov = np.sqrt((np.outer(var, var) + cov**2) / (m - 1))
-    np.fill_diagonal(se_cov, np.sqrt(2.0 / (m - 1)) * np.abs(var))
+    # scaled by s, the power of two at or below the largest variance, the
+    # squares stay finite; a power of two scales exactly, so the bits are those
+    # of the unscaled formula wherever no square leaves the normal range
+    s = math.ldexp(1.0, math.frexp(float(np.abs(var).max(initial=0.0)))[1] - 1)
+    with np.errstate(over="ignore"):  # at few trajectories an error can exceed its variance
+        se_cov = s * np.sqrt((np.outer(var / s, var / s) + (cov / s) ** 2) / (m - 1))
+        np.fill_diagonal(se_cov, np.sqrt(2.0 / (m - 1)) * np.abs(var))
+    if not np.isfinite(se_cov).all():
+        raise _overflow_error(ensemble.config.params, t)
     se_mean = np.sqrt(np.maximum(var, 0.0) / m)
     return MomentReport(t=t, trajectories=m, mean=mean, covariance=cov,
                         se_mean=se_mean, se_covariance=se_cov)

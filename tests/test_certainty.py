@@ -33,8 +33,8 @@ from ddmnet import (
     variance_envelope,
 )
 from ddmnet import certainty
-from ddmnet.certainty import _covariance_step
-from ddmnet.errors import DisconnectedGraphError, GraphValidationError
+from ddmnet.certainty import _covariance_step, _variance_walk
+from ddmnet.errors import DdmnetError, DisconnectedGraphError, GraphValidationError
 
 PARAMS = ModelParams(beta=1.0, sigma=1.0)
 
@@ -321,6 +321,46 @@ class TestAnalyticCovariance:
                 analytic_covariance(lap, PARAMS, t)
             with pytest.raises(ValueError):
                 closed_form_covariance(FamilySpec("complete", 5), PARAMS, t)
+
+
+@st.composite
+def weighted_digraphs(draw):
+    """A random weighted digraph on 1-8 nodes, weights over six decades: undirected
+    draws are normal, directed draws mostly are not, and either may be disconnected."""
+    n = draw(st.integers(1, 8))
+    undirected = draw(st.booleans())
+    pairs = [(k, j) for k in range(1, n + 1) for j in range(1, n + 1) if (k < j if undirected else k != j)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(chosen), max_size=len(chosen)))
+    arcs = [(k, j, w) for (k, j), w in zip(chosen, weights)]
+    if undirected:
+        arcs += [(j, k, w) for k, j, w in arcs]
+    return build_graph(n, arcs)
+
+
+class TestVarianceWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_digraphs(), st.sampled_from([0.01, 0.05, 0.5]), st.floats(1e-3, 1e3))
+    def test_curves_are_nondecreasing(self, g, t_step, sigma):
+        # each grid point adds the row sums of a squared factor, nonnegative term by term
+        grid = covariance_curves(laplacian(g), ModelParams(sigma=sigma), t_step, 101)
+        assert np.all(np.diff(grid, axis=0) >= 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_indefinite_step_covariance_is_an_error(self):
+        lap = laplacian(directed_ring(3))
+        e, _ = _covariance_step(lap, 0.5)
+        with pytest.raises(DdmnetError, match=r"^the covariance at t = 0\.5 is not positive definite in "
+                                              r"double precision: edge weights lie in \[1, 1\]$"):
+            _variance_walk(lap, e, np.diag([1.0, -1.0, 1.0]), 0.5, 4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_the_first_time(self):
+        # the variances 1e308 and 2e308 at t = 0.25 and 0.5: the second overflows
+        lap = laplacian(directed_ring(3))
+        with pytest.raises(DdmnetError, match=r"^the covariance at t = 0\.5 overflows double precision: "
+                                              r"edge weights lie in \[1, 1\]$"):
+            _variance_walk(lap, np.zeros((3, 3)), 1e308 * np.eye(3), 0.25, 4)
 
 
 class TestPropagator:

@@ -458,6 +458,47 @@ class TestGraphIO:
         report = json.loads(out.out, parse_constant=lambda name: pytest.fail(f"report holds {name}"))
         assert report["closed_form"]["inv_mu"][0] == pytest.approx(1e300 / 9, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_large_sigma_gives_a_finite_simulate_report(self, capsys):
+        # the sample variances reach 1e300, whose squares the standard errors scale away
+        code, out = run_cli("simulate", BENCHMARK, "--sigma", "1e150", "--trajectories", "64",
+                            "--t-max", "1", "--sample-times", "1", capsys=capsys)
+        assert code == 0
+        assert out.err == ""
+        report = json.loads(out.out, parse_constant=lambda name: pytest.fail(f"report holds {name}"))
+        assert report["moments"][0]["passed"]
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_two_trajectories_near_the_float_range_give_a_finite_report(self, capsys):
+        # with two trajectories the sample covariance equals the outer-product sum, near 1e308
+        # here, so its symmetrized sum cov + cov^T would overflow
+        code, out = run_cli("simulate", BENCHMARK, "--sigma", "1.3e154", "--trajectories", "2",
+                            "--t-max", "0.5", "--sample-times", "0.5", "--seed", "1", capsys=capsys)
+        assert code == 0, out.err
+        json.loads(out.out, parse_constant=lambda name: pytest.fail(f"report holds {name}"))
+
+    @pytest.mark.parametrize("workers,trajectories", [("1", "64"), ("2", "2100")], ids=["in-process", "pool"])
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_sigma_overflowing_the_simulation_is_usage_error(self, workers, trajectories, capsys):
+        # each x^2 is near 1e308 at t = 0.5, so every chunk's outer-product sum overflows
+        code, out = run_cli("simulate", BENCHMARK, "--sigma", "1.3e154", "--t-max", "5",
+                            "--sample-times", "5,0.5", "--trajectories", trajectories,
+                            "--workers", workers, capsys=capsys)
+        assert code == 2
+        assert out.err == ("error: the simulated moments at t = 0.5 overflow double precision: "
+                           "sigma = 1.3e+154 is too large\n")
+        assert out.out == ""
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_beta_overflowing_the_simulation_is_usage_error(self, capsys):
+        # the drift beta t = 5e200 outgrows the noise, and its square overflows
+        code, out = run_cli("simulate", BENCHMARK, "--beta", "1e200", "--t-max", "5",
+                            "--sample-times", "5", "--trajectories", "64", capsys=capsys)
+        assert code == 2
+        assert out.err == ("error: the simulated moments at t = 5 overflow double precision: "
+                           "beta = 1e+200 is too large\n")
+        assert out.out == ""
+
     @pytest.mark.parametrize("argv,t", [(["family", "complete:3:1", "--times", "5"], "5"),
                                         (["analyze", "tests/data/digraph6.json", "--format", "curves"],
                                          "2.35")],
@@ -622,18 +663,19 @@ def scipy_modules_after(*argvs: list[str]) -> list[str]:
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"))
 
 
-def numpy_random_modules_after(*argvs: list[str]) -> list[str]:
-    """The numpy.random modules that importing ddmnet.cli and running main() on
-    each argv load in a fresh interpreter, beyond those `import numpy` loads."""
+def modules_loaded_after(prefixes: tuple[str, ...], *argvs: list[str]) -> list[str]:
+    """The modules named by `prefixes` that importing ddmnet.cli and running main()
+    on each argv load in a fresh interpreter, beyond those `import numpy` loads."""
     return json.loads(run_python(
         "import json, os, sys\n"
         "import numpy\n"
         "before = set(sys.modules)\n"
         "import ddmnet.cli\n"
-        "loaded = [m for m in sys.modules if m.startswith('numpy.random') and m not in before]\n"
+        f"prefixes = {prefixes!r}\n"
+        "loaded = [m for m in sys.modules if m.startswith(prefixes) and m not in before]\n"
         f"for argv in {list(argvs)!r}:\n"
         "    assert ddmnet.cli.main(argv + ['--output', os.devnull]) == 0\n"
-        "loaded += [m for m in sys.modules if m.startswith('numpy.random') and m not in before]\n"
+        "loaded += [m for m in sys.modules if m.startswith(prefixes) and m not in before]\n"
         "print(json.dumps(sorted(set(loaded))))\n"))
 
 
@@ -659,10 +701,18 @@ class TestImportBoundary:
 
     def test_import_and_symmetric_analyze_load_no_numpy_random(self):
         # the simulator imports numpy.random on first use
-        assert numpy_random_modules_after() == []
-        assert numpy_random_modules_after(["analyze", "tests/data/undirected60.json"]) == []
-        assert "numpy.random" in numpy_random_modules_after(
+        assert modules_loaded_after(("numpy.random",)) == []
+        assert modules_loaded_after(("numpy.random",), ["analyze", "tests/data/undirected60.json"]) == []
+        assert "numpy.random" in modules_loaded_after(
+            ("numpy.random",),
             ["simulate", BENCHMARK, "--trajectories", "200", "--t-max", "0.1", "--sample-times", "0.1"])
+
+    def test_commands_without_a_pool_load_no_process_machinery(self):
+        # the simulator imports concurrent.futures where it starts a pool, and one chunk runs in-process
+        assert modules_loaded_after(("concurrent", "multiprocessing"),
+                                    ["analyze", BENCHMARK], ["verify", BENCHMARK],
+                                    ["simulate", BENCHMARK, "--trajectories", "200", "--t-max", "0.1",
+                                     "--sample-times", "0.1"]) == []
 
 
 class TestInternalError:

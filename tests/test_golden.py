@@ -8,9 +8,11 @@ one at a time; its three chunks stack panels. The ring-by-path report, the
 one golden of a normal digraph that is not symmetric, was written when the
 spectral route first decomposed the symmetric part (L + L^T) / 2 with eigh.
 The verify, curves, family and simulate reports, which read the Van Loan
-covariance step, were last written when that step took sigma^2 out of its
+covariance step, were written when that step took sigma^2 out of its
 block, carrying the propagator as its deviation Phi - I through one doubling
-loop.
+loop; the verify and curves reports were last written when the grid walk
+carried the Cholesky factor of the step's covariance and kept only the
+variances.
 
 The runs use the same relative paths from the repository root as the files
 were made with, so the "graph_file" echo matches too. To rewrite the files

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import ddmnet.blasthreads as blasthreads
 import ddmnet.simulate as simulate_module
 from ddmnet import (
+    DdmnetError,
     ModelParams,
     SimConfig,
     StepCapError,
@@ -342,6 +343,33 @@ class TestMoments:
         rep = empirical_moments(forced, 0.01)
         assert rep.mean[0] == 1.0
         assert rep.covariance[0, 0] == 2.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_standard_errors_scale_exactly_past_the_square_range(self, benchmark_graph):
+        # the unscaled formula, finite at unit noise, gives the same bits; scaling every
+        # outer product by 2^1000 scales the standard errors by 2^1000 exactly, where
+        # the squared variances alone would overflow
+        cfg = SimConfig(PARAMS, t_max=1.0, step=0.01, trajectories=64, seed=5, sample_times=(1.0,))
+        ens = simulate_ensemble(benchmark_graph, cfg)
+        rep = empirical_moments(ens, 1.0)
+        var, m = np.diag(rep.covariance), cfg.trajectories
+        unscaled = np.sqrt((np.outer(var, var) + rep.covariance**2) / (m - 1))
+        np.fill_diagonal(unscaled, np.sqrt(2.0 / (m - 1)) * np.abs(var))
+        assert np.array_equal(rep.se_covariance, unscaled)
+        big = type(ens)(n=ens.n, config=cfg, sums=2.0**500 * ens.sums, outers=2.0**1000 * ens.outers)
+        assert np.array_equal(empirical_moments(big, 1.0).se_covariance, 2.0**1000 * unscaled)
+
+    @pytest.mark.filterwarnings("error")
+    def test_standard_errors_beyond_the_float_range_name_sigma(self):
+        # two trajectories at 0 and +-1.3e154 sqrt(2): the variance 1.69e308 is finite, its
+        # standard error sqrt(2) times that is not
+        cfg = SimConfig(ModelParams(sigma=1e154), t_max=0.01, step=0.01, trajectories=2, seed=0,
+                        sample_times=(0.01,))
+        ens = simulate_ensemble(single_node(), cfg)
+        forced = type(ens)(n=1, config=cfg, sums=np.zeros((1, 1)), outers=np.array([[[1.69e308]]]))
+        with pytest.raises(DdmnetError, match=r"^the simulated moments at t = 0\.01 overflow double "
+                                              r"precision: sigma = 1e\+154 is too large$"):
+            empirical_moments(forced, 0.01)
 
     def test_unknown_sample_time(self, benchmark_graph):
         cfg = SimConfig(PARAMS, t_max=0.1, step=0.01, trajectories=10, seed=0, sample_times=(0.1,))

@@ -58,7 +58,8 @@ def linalg_calls(monkeypatch) -> Counter:
 # one eigh for the spectral route, one Cholesky (and the inverse of its
 # triangular factor) for everything else; on the five-node fixture the path
 # oracle adds one pinv and one orientation-blind inv per node pair, and
-# verify's two Van Loan exponentials one solve each
+# verify's two Van Loan exponentials one solve each, and its variance walk
+# one Cholesky factor of the t = 0.5 step's covariance
 ORACLE_PAIRS = {"pinv": 10, "inv": 10}
 
 
@@ -67,8 +68,8 @@ ORACLE_PAIRS = {"pinv": 10, "inv": 10}
     ("analyze", FIXTURE, {"eigh": 1, "cholesky": 1, "inv": 1}),
     ("centrality", UNDIRECTED60, {"cholesky": 1, "inv": 1}),
     ("centrality", FIXTURE, {"cholesky": 1, "inv": 1 + ORACLE_PAIRS["inv"], "pinv": ORACLE_PAIRS["pinv"]}),
-    ("verify", UNDIRECTED60, {"eigh": 1, "cholesky": 1, "inv": 1, "solve": 2}),
-    ("verify", FIXTURE, {"eigh": 1, "cholesky": 1, "inv": 1 + ORACLE_PAIRS["inv"], "pinv": ORACLE_PAIRS["pinv"],
+    ("verify", UNDIRECTED60, {"eigh": 1, "cholesky": 2, "inv": 1, "solve": 2}),
+    ("verify", FIXTURE, {"eigh": 1, "cholesky": 2, "inv": 1 + ORACLE_PAIRS["inv"], "pinv": ORACLE_PAIRS["pinv"],
                          "solve": 2}),
     ("analyze", RING_PATH, {"eigh": 1, "cholesky": 1, "inv": 1}),
 ])

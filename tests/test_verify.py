@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_connected_graph
-from ddmnet import DdmnetError, Request, all_passed, build_graph, run_checks
+from ddmnet import (DdmnetError, FamilySpec, Request, all_passed, build_graph, laplacian, load_graph,
+                    make_family, run_checks)
+from ddmnet.certainty import _covariance_step
+from ddmnet.verify import _row_sum_deviations
 
 
 def test_benchmark_suite_all_pass(benchmark_graph):
@@ -71,3 +76,21 @@ def test_plateau_time_beyond_the_float_range_is_an_error():
     with pytest.raises(DdmnetError, match=r"^the covariance at t = 0\.5 \* 2\^1025 overflows double "
                                           r"precision: edge weights lie in \[3e-308, 3e-308\]$"):
         run_checks(Request(g))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("g", [load_graph(str(ROOT / "fixtures/five_node_benchmark.json")),
+                               load_graph(str(ROOT / "tests/data/digraph6.json")),
+                               make_family(FamilySpec("exploding_star", 6)),
+                               make_family(FamilySpec("imploding_star", 6))],
+                         ids=["fixture", "digraph6", "exploding_star", "imploding_star"])
+def test_row_sum_recurrence_matches_matrix_powers(g):
+    # the reference forms Phi^k itself, by repeated squaring
+    e, _ = _covariance_step(laplacian(g), 0.5)
+    deviations = _row_sum_deviations(e, 10)
+    eye = np.eye(g.n)
+    for k in (4, 10):
+        reference = (np.linalg.matrix_power(eye + e, k) - eye).sum(axis=1)
+        assert np.abs(deviations[k - 1] - reference).max() <= 1e-14, k
