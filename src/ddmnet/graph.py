@@ -11,6 +11,9 @@ those arrays with whole-array numpy operations; `edges` rebuilds the
 (k, j, w) triples for callers that want them. Validation of outside input is vectorised too:
 a check runs once over all edges, and only the first edge that fails is
 examined on its own, to report it with the same message in edge order.
+The entry points (`build_graph`, `graph_from_dict`) scan the Python types
+of their edge columns; one validator, `_graph_from_columns`, then checks
+the labels and weights as numpy arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -142,7 +144,14 @@ def _check_edge(edge: object, triple: tuple | None, n: int) -> None:
         raise GraphValidationError(f"edge ({k}, {j}): weight must be finite and > 0, got {w}")
 
 
-def _weights(values: tuple) -> np.ndarray:
+def _columns(rows: list) -> list[list]:
+    """The three columns of rows of three items each. (zip(*rows) keeps one
+    iterator per row alive, and at 10^5 rows costs several times as much
+    per item as at 10^4.)"""
+    return [[row[c] for row in rows] for c in range(3)]
+
+
+def _weights(values: Sequence) -> np.ndarray:
     """float(w) of the leading values that convert; stops before the first that raises."""
     if set(map(type, values)) <= {float, int, bool}:
         try:
@@ -192,31 +201,35 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedDigr
     if not (all(issubclass(t, (tuple, list)) for t in set(map(type, edges)))
             and set(map(len, edges)) <= {3}):
         triples = _unpacked(edges)
-    ks, js, ws = zip(*triples) if triples else ((), (), ())
-    return _graph_from_columns(n, ks, js, ws, len(edges),
-                               lambda i: (edges[i], triples[i] if i < len(triples) else None))
-
-
-def _graph_from_columns(n: int, ks: Sequence, js: Sequence, ws: Sequence, m: int,
-                        edge_at: Callable[[int], tuple]) -> WeightedDigraph:
-    """build_graph's checks, run on the edges as columns.
-
-    The columns hold the leading edges of m that unpack into three. For the
-    error message, edge_at(i) gives edge i as passed and unpacked (None when
-    it does not unpack).
-    """
-    # Each check runs on the edges before the first failure found so far,
-    # so `end` ends at the first edge that fails any check.
+    ks, js, ws = _columns(triples)
+    # the columns end before the first edge whose indices are not ints or whose weight does not convert
     end = len(ks)
     not_int = {t for t in set(map(type, ks)) | set(map(type, js)) if not issubclass(t, int)}
     if not_int:
         end = next(i for i, (k, j) in enumerate(zip(ks, js)) if type(k) in not_int or type(j) in not_int)
-    src, dst = np.array(ks[:end]), np.array(js[:end])  # object dtype beyond the int64 range
-    end = _first((src < 1) | (src > n) | (dst < 1) | (dst > n) | (src == dst), end)
-    src, dst = src[:end].astype(np.int64), dst[:end].astype(np.int64)
     wts = _weights(ws[:end])
-    end = _first(~(wts > 0) | ~np.isfinite(wts), len(wts))
-    src, dst, wts = src[:end], dst[:end], wts[:end]
+    end = len(wts)
+    return _graph_from_columns(n, np.array(ks[:end]), np.array(js[:end]), wts, len(edges),
+                               lambda i: (edges[i], triples[i] if i < len(triples) else None))
+
+
+def _graph_from_columns(n: int, src: np.ndarray, dst: np.ndarray, wts: np.ndarray, m: int,
+                        edge_at: Callable[[int], tuple]) -> WeightedDigraph:
+    """build_graph's checks, run on the edges as arrays.
+
+    The arrays hold the leading edges of m whose indices are integers and
+    whose weights convert: the node labels as numpy stores them (int64, or
+    float64 or object dtype beyond the int64 range, which the range check
+    rejects) and the weights as float64. The caller has scanned the types,
+    so no check here looks at one edge at a time. For the error message,
+    edge_at(i) gives edge i as passed and unpacked (None when it does not
+    unpack), in Python values, as _check_edge reports them.
+    """
+    # Each check runs on the edges before the first failure found so far,
+    # so `end` ends at the first edge that fails any check.
+    end = _first((src < 1) | (src > n) | (dst < 1) | (dst > n) | (src == dst), len(wts))
+    end = _first(~(wts[:end] > 0) | ~np.isfinite(wts[:end]), end)
+    src, dst, wts = src[:end].astype(np.int64), dst[:end].astype(np.int64), wts[:end]
     order = np.lexsort((dst, src))  # stable: a repeated pair keeps its input order
     src, dst = src[order], dst[order]
     repeat = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
@@ -428,7 +441,14 @@ def _check_item(idx: int, item: object) -> None:
 
 
 def graph_from_dict(data: dict) -> WeightedDigraph:
-    """Build a graph from the JSON-schema dict, with field-level diagnostics."""
+    """Build a graph from the JSON-schema dict, with field-level diagnostics.
+
+    The item types are scanned column by column; the labels and weights are
+    then converted to arrays once. An undirected item (k, j, w) becomes the
+    arcs (k, j, w), (j, k, w), laid out by strided assignment into arrays
+    of the wider label dtype, so that a label beyond int64 stays an object
+    and fails the range check.
+    """
     if not isinstance(data, dict):
         raise GraphFormatError(f"expected a JSON object, got {type(data).__name__}")
     unknown = set(data) - {"n", "edges", "undirected"}
@@ -449,7 +469,7 @@ def graph_from_dict(data: dict) -> WeightedDigraph:
     if not (all(issubclass(t, list) for t in set(map(type, raw_edges)))
             and set(map(len, raw_edges)) <= {3}):
         end = next(i for i, item in enumerate(raw_edges) if not (isinstance(item, list) and len(item) == 3))
-    ks, js, ws = zip(*raw_edges[:end]) if end else ((), (), ())
+    ks, js, ws = _columns(raw_edges[:end])
     not_index = {t for t in set(map(type, ks)) | set(map(type, js))
                  if not issubclass(t, int) or issubclass(t, bool)}
     not_weight = {t for t in set(map(type, ws)) if issubclass(t, bool) or not issubclass(t, (int, float))}
@@ -457,19 +477,29 @@ def graph_from_dict(data: dict) -> WeightedDigraph:
         end = next(i for i, (k, j, w) in enumerate(zip(ks, js, ws))
                    if type(k) in not_index or type(j) in not_index or type(w) in not_weight)
     try:
-        weights = list(map(float, ws[:end]))
+        weights = np.array(ws[:end], dtype=float)
     except OverflowError:  # an int beyond the float range: _check_item reports the first
-        weights = _weights(ws[:end]).tolist()
+        weights = _weights(ws[:end])
         end = len(weights)
     if end < len(raw_edges):
         _check_item(end, raw_edges[end])
+    src, dst = np.array(ks), np.array(js)
     if undirected:  # item (k, j, w) stands for the arc (k, j, w) followed by (j, k, w)
-        ks, js, weights = (list(chain.from_iterable(zip(a, b)))
-                           for a, b in ((ks, js), (js, ks), (weights, weights)))
+        k, j = src, dst
+        # the wider of the two dtypes, so a label beyond int64 stays an object
+        src = np.empty(2 * k.size, dtype=np.result_type(k, j))
+        dst = np.empty_like(src)
+        src[0::2], src[1::2], dst[0::2], dst[1::2] = k, j, j, k
+        weights = np.repeat(weights, 2)
+
+    def arc(i: int) -> tuple:  # arc i in Python values, for the error message
+        item, back = divmod(i, 2) if undirected else (i, 0)
+        k, j = (js[item], ks[item]) if back else (ks[item], js[item])
+        return ((k, j, float(weights[i])),) * 2
+
     try:
         _check_node_count(n)
-        return _graph_from_columns(n, ks, js, weights, len(ks),
-                                   lambda i: ((ks[i], js[i], weights[i]),) * 2)
+        return _graph_from_columns(n, src, dst, weights, weights.size, arc)
     except GraphValidationError as exc:
         raise GraphFormatError(str(exc)) from exc
 

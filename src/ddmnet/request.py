@@ -1,5 +1,13 @@
 """One request: a graph, its parameters, and each stage a command
-or the verify suite reads from them, built on first use and at most once."""
+or the verify suite reads from them, built on first use and at most once.
+
+A graph whose Laplacian is exactly symmetric is its own mirror: every
+mirror weight (w_kj + w_jk) / 2 is then (w + w) / 2, or w/2 + w/2 where
+w + w overflows, and doubling and halving a float are exact, so
+mirror_graph(g) == g bit for bit. The request then uses g and its Laplacian
+for the mirror and builds neither again; the Laplacian is read-only, since
+both stages share it.
+"""
 
 from __future__ import annotations
 
@@ -28,7 +36,9 @@ class Request:
 
     @cached_property
     def lap(self) -> np.ndarray:
-        return laplacian(self.g)
+        lap = laplacian(self.g)
+        lap.flags.writeable = False  # shared with lap_mirror where g is its own mirror
+        return lap
 
     @cached_property
     def profile(self) -> GraphProfile:
@@ -36,11 +46,12 @@ class Request:
 
     @cached_property
     def mirror(self) -> WeightedDigraph:
-        return mirror_graph(self.g)
+        """g itself where its Laplacian is exactly symmetric (no tolerance), else mirror_graph(g)."""
+        return self.g if np.array_equal(self.lap, self.lap.T) else mirror_graph(self.g)
 
     @cached_property
     def lap_mirror(self) -> np.ndarray:
-        return laplacian(self.mirror)
+        return self.lap if self.mirror is self.g else laplacian(self.mirror)
 
     @cached_property
     def spectral(self) -> SpectralData:

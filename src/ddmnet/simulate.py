@@ -413,16 +413,16 @@ def simulate_ensemble(g: WeightedDigraph, cfg: SimConfig, workers: int | None = 
                 outers += o
     finite = np.isfinite(sums).all(axis=1) & np.isfinite(outers).all(axis=(1, 2))
     if not finite.all():
-        raise _overflow_error(cfg.params, min(t for t, ok in zip(cfg.sample_times, finite) if not ok))
+        raise _moments_error(cfg.params, min(t for t, ok in zip(cfg.sample_times, finite) if not ok))
     return Ensemble(n=g.n, config=cfg, sums=sums, outers=outers)
 
 
-def _overflow_error(params: ModelParams, t: float) -> DdmnetError:
-    """The error for moments at time t that overflow double precision. It names
+def _moments_error(params: ModelParams, t: float, problem: str = "overflow double precision") -> DdmnetError:
+    """The error for moments at time t that double precision cannot hold. It names
     sigma, or beta where the drift beta t outgrows the noise sigma sqrt(t)."""
     cause = (f"sigma = {params.sigma:.6g}" if params.sigma >= abs(params.beta) * math.sqrt(t)
              else f"beta = {params.beta:.6g}")
-    return DdmnetError(f"the simulated moments at t = {t:.6g} overflow double precision: {cause} is too large")
+    return DdmnetError(f"the simulated moments at t = {t:.6g} {problem}: {cause} is too large")
 
 
 def empirical_moments(ensemble: Ensemble, t: float) -> MomentReport:
@@ -431,6 +431,8 @@ def empirical_moments(ensemble: Ensemble, t: float) -> MomentReport:
     Standard error of a variance uses the Gaussian asymptotic formula
     Var(s^2) ~= 2 s^4 / (M - 1); the process is Gaussian, so this is exact
     to leading order. Off-diagonal entries use (s_kk s_jj + s_kj^2)/(M - 1).
+    Raises DdmnetError where a variance after t = 0 is not positive (its
+    digits cancelled) or a standard error exceeds the largest double.
     """
     wanted = ensemble.config.step_index(t)
     recorded = [ensemble.config.step_index(ts) for ts in ensemble.config.sample_times]
@@ -448,12 +450,18 @@ def empirical_moments(ensemble: Ensemble, t: float) -> MomentReport:
     # squares stay finite; a power of two scales exactly, so the bits are those
     # of the unscaled formula wherever no square leaves the normal range
     s = math.ldexp(1.0, math.frexp(float(np.abs(var).max(initial=0.0)))[1] - 1)
-    with np.errstate(over="ignore"):  # at few trajectories an error can exceed its variance
+    # at few trajectories an error can exceed its variance; a negative variance
+    # gives a NaN here, and both are named below
+    with np.errstate(over="ignore", invalid="ignore"):
         se_cov = s * np.sqrt((np.outer(var / s, var / s) + (cov / s) ** 2) / (m - 1))
         np.fill_diagonal(se_cov, np.sqrt(2.0 / (m - 1)) * np.abs(var))
+    # every state is zero at t = 0; later, where the mean beta t dwarfs the spread,
+    # the sums about zero cancel every digit of a variance
+    if wanted and not (var > 0).all():
+        raise _moments_error(ensemble.config.params, t, "lose their spread to cancellation in double precision")
     if not np.isfinite(se_cov).all():
-        raise _overflow_error(ensemble.config.params, t)
-    se_mean = np.sqrt(np.maximum(var, 0.0) / m)
+        raise _moments_error(ensemble.config.params, t)
+    se_mean = np.sqrt(var / m)
     return MomentReport(t=t, trajectories=m, mean=mean, covariance=cov,
                         se_mean=se_mean, se_covariance=se_cov)
 

@@ -499,6 +499,18 @@ class TestGraphIO:
                            "beta = 1e+200 is too large\n")
         assert out.out == ""
 
+    @pytest.mark.parametrize("beta", ["1e8", "1e20", "1e50"])
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_beta_cancelling_the_spread_is_usage_error(self, beta, capsys):
+        # the mean beta t dwarfs the spread, so the sums about zero leave variances of
+        # zero or less: no square overflows, every digit cancels
+        code, out = run_cli("simulate", BENCHMARK, "--beta", beta, "--trajectories", "64", "--t-max", "1",
+                            "--sample-times", "0.5,1", "--seed", "3", capsys=capsys)
+        assert code == 2
+        assert out.err == ("error: the simulated moments at t = 0.5 lose their spread to cancellation "
+                           f"in double precision: beta = {float(beta):.6g} is too large\n")
+        assert out.out == ""
+
     @pytest.mark.parametrize("argv,t", [(["family", "complete:3:1", "--times", "5"], "5"),
                                         (["analyze", "tests/data/digraph6.json", "--format", "curves"],
                                          "2.35")],

@@ -238,10 +238,20 @@ class TestAgainstReference:
 
     @settings(max_examples=400, deadline=None)
     @given(edge_lists(), st.booleans())
+    @example((2, [[1, 2**70, 1.0]]), True)  # labels beyond int64 in one column only
+    @example((2, [[2**70, 1, 1.0]]), True)
+    @example((3, [[1, 2, 1.0], [3, 3, 1.0]]), True)  # a self-loop item
+    @example((2, [[1, 2, 1.0], [2, 1, 1.0]]), True)  # a duplicate only the doubling makes
+    @example((2, [[True, 2, 1.0]]), True)
+    @example((2, [[1, 2.0, 1.0]]), True)
+    @example((2, [[1, 2, 10**400]]), True)  # an int weight beyond the float range
     def test_graph_from_dict(self, case, undirected):
         n, edges = case
         data = {"n": n, "edges": edges, "undirected": undirected}
-        assert outcome(graph_from_dict, data) == outcome(ref_graph_from_dict, data)
+        got = outcome(graph_from_dict, data)
+        assert got == outcome(ref_graph_from_dict, data)
+        # messages show Python values; only a numpy value in the input shows as one
+        assert got[0] == "ok" or "np." not in got[1] or "np." in _show(edges)
 
     @settings(max_examples=200, deadline=None)
     @given(edge_lists(faults=False))

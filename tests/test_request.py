@@ -1,6 +1,8 @@
 """The request path end to end: relabelling a graph's nodes permutes every
 per-node row of analyze and centrality and keeps every verify status, and
 the profile the request builds from the Laplacian matches the adjacency's.
+A graph whose Laplacian is exactly symmetric serves as its own mirror, and
+is bit for bit what mirror_graph makes of it.
 """
 
 import contextlib
@@ -11,11 +13,13 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddmnet import DEFAULT_TOL, build_graph, classify, graph_to_dict, permute_graph
+from ddmnet import DEFAULT_TOL, build_graph, classify, graph_to_dict, laplacian, mirror_graph, permute_graph
 from ddmnet.cli import main
+from ddmnet.request import Request
 
 WEIGHTS = st.floats(0.1, 10.0)
 
@@ -120,3 +124,52 @@ def test_profile_degrees_are_the_adjacency_sums(g):
     for got, want in ((profile.out_degree, a.sum(axis=1)), (profile.in_degree, a.sum(axis=0))):
         assert np.asarray(got).tobytes() == want.tobytes()
         assert not any(math.copysign(1.0, d) < 0 for d in got)
+
+
+@st.composite
+def exactly_symmetric_graphs(draw):
+    """Graphs whose every arc has its reverse at the same weight, from subnormal to 1e300."""
+    n = draw(st.integers(2, 7))
+    pairs = [(k, j) for k in range(1, n + 1) for j in range(k + 1, n + 1)]
+    edges = []
+    for k, j in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)):
+        w = draw(st.floats(min_value=5e-324, max_value=1e300))
+        edges += [(k, j, w), (j, k, w)]
+    return build_graph(n, edges)
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(exactly_symmetric_graphs())
+@example(build_graph(2, [(1, 2, 1e308), (2, 1, 1e308)]))  # w + w overflows; w/2 + w/2 does not
+def test_a_symmetric_graph_is_its_own_mirror(g):
+    mirrored = mirror_graph(g)
+    for got, want in ((mirrored.src, g.src), (mirrored.dst, g.dst), (mirrored.w, g.w)):
+        assert same_bits(got, want)
+    req = Request(g)
+    assert req.mirror is g
+    assert same_bits(req.lap_mirror, laplacian(mirrored))
+
+
+def test_reverse_weights_one_ulp_apart_take_the_real_mirror():
+    # within is_undirected's tolerance, yet not exactly symmetric: the mirror averages
+    w, w_back = 3.0, float(np.nextafter(3.0, 4.0))
+    g = build_graph(3, [(1, 2, w), (2, 1, w_back), (2, 3, 1.0), (3, 2, 1.0)])
+    assert g.is_undirected()
+    req = Request(g)
+    assert req.mirror is not g and req.mirror != g
+    assert req.mirror == mirror_graph(g)
+    assert req.mirror.w.tolist() == [(w + w_back) / 2.0, (w + w_back) / 2.0, 1.0, 1.0]
+    assert same_bits(req.lap_mirror, laplacian(mirror_graph(g)))
+
+
+def test_the_shared_laplacian_is_read_only():
+    req = Request(build_graph(2, [(1, 2, 1.0), (2, 1, 1.0)]))
+    assert req.lap_mirror is req.lap
+    with pytest.raises(ValueError, match="read-only"):
+        req.lap[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        req.lap_mirror += 1.0

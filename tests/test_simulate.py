@@ -371,6 +371,13 @@ class TestMoments:
                                               r"precision: sigma = 1e\+154 is too large$"):
             empirical_moments(forced, 0.01)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_spread_at_t_zero_is_no_error(self, benchmark_graph):
+        # every state starts at zero, so the variances at t = 0 are zero, not lost
+        cfg = SimConfig(PARAMS, t_max=0.1, step=0.01, trajectories=8, seed=0, sample_times=(0.0, 0.1))
+        rep = empirical_moments(simulate_ensemble(benchmark_graph, cfg), 0.0)
+        assert not rep.covariance.any() and not rep.se_covariance.any() and not rep.se_mean.any()
+
     def test_unknown_sample_time(self, benchmark_graph):
         cfg = SimConfig(PARAMS, t_max=0.1, step=0.01, trajectories=10, seed=0, sample_times=(0.1,))
         ens = simulate_ensemble(benchmark_graph, cfg)
