@@ -78,7 +78,7 @@ class InformationMatrix:
     kirchhoff_index: float
 
 
-def information_matrix(lap_mirror: np.ndarray) -> InformationMatrix:
+def information_matrix(lap_mirror: np.ndarray, connected: bool | None = None) -> InformationMatrix:
     """The solve basis of a connected undirected graph's Laplacian L.
 
     With s = tr(L) / n^2, the mean weighted degree over n, L + s 11^T is
@@ -87,14 +87,17 @@ def information_matrix(lap_mirror: np.ndarray) -> InformationMatrix:
     inverts it to C_s = X + 11^T / (s n^2), which gives the group inverse X;
     the axioms L X L = L, X L X = X, L X = X L are asserted. Connectivity is
     decided on the pattern of L, since the factorization can succeed on a
-    disconnected graph.
+    disconnected graph; a caller that has decided it on the same arcs passes
+    its verdict as `connected` instead.
     """
     lap = np.asarray(lap_mirror, dtype=float)
     n = lap.shape[0]
     scale = float(np.abs(lap).max(initial=0.0))
     if float(np.abs(lap - lap.T).max(initial=0.0)) > 1e-12 * scale:
         raise GraphValidationError("Laplacian must be symmetric")
-    if not strongly_connected(n, *np.nonzero(lap)):  # self-arcs k -> k reach nothing new
+    if connected is None:
+        connected = strongly_connected(n, *np.nonzero(lap))  # self-arcs k -> k reach nothing new
+    if not connected:
         raise DisconnectedGraphError("mirror graph is disconnected")
     s = float(np.trace(lap)) / n**2 or 1.0  # a single node has L = 0
     try:

@@ -20,7 +20,6 @@ import json
 import math
 import sys
 from functools import cache
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -66,38 +65,55 @@ def _emit(text: str, path: str | None) -> None:
 # Where json.dumps(indent=2, sort_keys=True) puts the graph echo's empty edge
 # list. JSON strings hold no raw newline, so no user text can match this.
 _EMPTY_EDGES = '\n  "graph": {\n    "edges": [],'
+_CLOSE_ARC = "\n      ]"
 
 
 def _json_text(body: dict) -> str:
     """json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n", where
     body["graph"] is a WeightedDigraph echoed as graph_to_dict would give it.
 
-    The edge list is rendered with one join over the arc arrays and spliced
-    in; it holds ints and finite floats, written as json writes them (repr).
-    repr depends only on the value, so each distinct weight is formatted once.
+    The body is dumped with an empty edge list, and the arcs are written into
+    its place: the text before the list, three pieces per arc and the text
+    after it go through one "".join, so the long text is built once. Arcs hold
+    ints and finite floats, written as json writes them (repr). repr depends
+    only on the value, so each distinct weight, and each node label that
+    occurs, is formatted once; indexing object arrays by g.src, g.dst and the
+    unique inverse gathers each arc's pieces. An arc's opening piece also
+    closes the arc before it. repr of the distinct weights is most of the
+    time, and the floor: numpy has no faster formatter that writes the same
+    digits.
     """
     g = body["graph"]
     text = json.dumps({**body, "graph": {"n": g.n, "edges": [], "undirected": False}},
                       indent=2, sort_keys=True, allow_nan=False)
-    if not g.src.size:
+    m = g.src.size
+    if not m:
         return text + "\n"
-    ks, js = g.src.tolist(), g.dst.tolist()
-    nodes = {*ks, *js}  # each node label is formatted once, not once per arc
-    head = {k: f",\n      [\n        {k},\n        " for k in nodes}
-    tail = {j: f"{j},\n        " for j in nodes}
+    cut = text.index(_EMPTY_EDGES) + len(_EMPTY_EDGES) - 2  # at the list's closing "],"
+    occurs = np.zeros(g.n + 1, dtype=bool)
+    occurs[g.src] = occurs[g.dst] = True
+    labels = np.flatnonzero(occurs).tolist()
+    opening, middle = np.empty((2, g.n + 1), dtype=object)
+    opening[labels] = [f"{_CLOSE_ARC},\n      [\n        {k},\n        " for k in labels]
+    middle[labels] = [f"{k},\n        " for k in labels]
     weights, which = np.unique(g.w, return_inverse=True)
-    shown = list(map(repr, weights.tolist()))
-    block = "".join(chain.from_iterable(zip(
-        map(head.__getitem__, ks), map(tail.__getitem__, js), map(shown.__getitem__, which.tolist()),
-        repeat("\n      ]"))))
-    return text.replace(_EMPTY_EDGES, _EMPTY_EDGES[:-2] + "\n" + block[2:] + "\n    ],", 1) + "\n"
+    shown = np.array(list(map(repr, weights.tolist())), dtype=object)
+    pieces = np.empty(3 * m + 4, dtype=object)
+    arcs = pieces[1:-3].reshape(m, 3)
+    arcs[:, 0], arcs[:, 1], arcs[:, 2] = opening[g.src], middle[g.dst], shown[which]
+    arcs[0, 0] = arcs[0, 0][len(_CLOSE_ARC) + 1:]  # nothing to close before the first arc
+    pieces[0], pieces[-3], pieces[-2], pieces[-1] = text[:cut], _CLOSE_ARC + "\n    ", text[cut:], "\n"
+    return "".join(pieces.tolist())
 
 
 def emit_report(report: dict, fmt: str, path: str | None) -> None:
     """Serialize a report deterministically (sorted keys, repr floats).
 
     The csv_rows / csv_fields / curves entries are presentation payloads for
-    the respective formats and are stripped from JSON output. The curves
+    the respective formats and are stripped from JSON output. The JSON text
+    comes from _json_text, which writes the graph echo's arcs from gathered
+    pieces and the rest of the report in one join; formatting the distinct
+    weights by repr is most of its cost on a large graph. The curves
     header holds plain column names and its rows hold floats, so each line is
     the comma join of their repr, as csv.writer would write it.
     """

@@ -6,7 +6,8 @@ mirror weight (w_kj + w_jk) / 2 is then (w + w) / 2, or w/2 + w/2 where
 w + w overflows, and doubling and halving a float are exact, so
 mirror_graph(g) == g bit for bit. The request then uses g and its Laplacian
 for the mirror and builds neither again; the Laplacian is read-only, since
-both stages share it.
+both stages share it. The profile's strong-connectivity verdict is then the
+mirror's too, so the solve basis does not search the same arcs again.
 """
 
 from __future__ import annotations
@@ -62,8 +63,10 @@ class Request:
 
     @cached_property
     def info(self) -> InformationMatrix:
-        """The mirror's solve basis; DisconnectedGraphError on a disconnected mirror."""
-        return information_matrix(self.lap_mirror)
+        """The mirror's solve basis; DisconnectedGraphError on a disconnected mirror.
+        Where g is its own mirror, the profile has searched the same arcs already."""
+        connected = self.profile.strongly_connected if self.mirror is self.g else None
+        return information_matrix(self.lap_mirror, connected)
 
     @cached_property
     def harmonic(self) -> tuple[float, ...]:

@@ -24,7 +24,7 @@ from .certainty import (
 )
 from .config import DEFAULT_TOL
 from .errors import DisconnectedGraphError, PathCapExceededError
-from .graph import laplacian_row_residual, mirror_graph
+from .graph import laplacian, laplacian_row_residual, mirror_graph
 from .request import Request
 from .simulate import SimConfig, simulate_ensemble
 
@@ -81,15 +81,17 @@ def run_checks(req: Request, oracle_cap: int = 8) -> list[CheckResult]:
     row_sums = float(np.abs(laplacian_row_residual(lap)).max())
     record("laplacian-row-sums", PASS if row_sums == 0.0 else FAIL, f"max |row sum| = {row_sums:.2e}")
 
-    # mirror Laplacian equals the symmetric part of the original (balanced only)
+    # mirror Laplacian equals the symmetric part of the original (balanced only). The
+    # mirror is built afresh from the request's: on a graph that is its own mirror,
+    # req.lap_mirror is lap itself, and the check would compare lap with itself
+    twice = mirror_graph(mirror)
     if profile.balanced:
-        sym_gap = float(np.abs(req.lap_mirror - (lap + lap.T) / 2.0).max())
+        sym_gap = float(np.abs(laplacian(twice) - (lap + lap.T) / 2.0).max())
         record("mirror-symmetric-part",
                PASS if sym_gap <= 1e-12 * max(1.0, float(np.abs(lap).max())) else FAIL,
                f"max deviation = {sym_gap:.2e}")
     else:
         record("mirror-symmetric-part", SKIP, "identity holds for balanced digraphs only")
-    twice = mirror_graph(mirror)
     record("mirror-idempotent", PASS if twice == mirror else FAIL)
 
     if profile.normal_laplacian and not profile.balanced:

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ddmnet import GraphValidationError, build_graph, cli, graph_from_dict, graph_to_dict, load_graph
+from ddmnet import (GraphFormatError, GraphValidationError, build_graph, cli, graph_from_dict, graph_to_dict,
+                    load_graph)
 from ddmnet.cli import main
 from ddmnet.config import DEFAULT_TOL
 from ddmnet.graph import MAX_NODES
@@ -808,13 +809,42 @@ def echo_graphs(draw):
         assume(False)
 
 
+@st.composite
+def undirected_echo_graphs(draw):
+    """Undirected graph files as graph_from_dict reads them: each edge becomes two arcs."""
+    n = draw(st.integers(1, 60))
+    pairs = [(k, j) for k in range(1, n + 1) for j in range(k + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=100) if pairs else st.just([]))
+    try:
+        return graph_from_dict({"n": n, "edges": [[k, j, draw(ECHO_WEIGHTS)] for k, j in chosen],
+                                "undirected": True})
+    except GraphFormatError:  # a weighted degree overflowed
+        assume(False)
+
+
 class TestJsonEcho:
     @settings(deadline=None)
-    @given(echo_graphs())
-    def test_matches_json_dumps(self, g):
-        body = {"command": "analyze", "config": {"sigma": 1.0}, "graph": g, "passed": True}
+    @given(g=st.one_of(echo_graphs(), undirected_echo_graphs()), graph_file=st.text())
+    @example(g=build_graph(1, []), graph_file="")
+    @example(g=build_graph(2, [(2, 1, 0.1)]), graph_file="")
+    # the labels that occur are formatted, not all 2^15 of them
+    @example(g=build_graph(MAX_NODES, [(1, MAX_NODES, 1.5), (MAX_NODES, 1, 5e-324)]), graph_file="")
+    # JSON escapes the newlines, so the text can never pass for the echo's edge list
+    @example(g=build_graph(2, [(1, 2, 3.0)]), graph_file='\n  "graph": {\n    "edges": [],')
+    @example(g=build_graph(2, [(1, 2, 3.0)]), graph_file='"edges": [],')
+    def test_matches_json_dumps(self, g, graph_file):
+        body = {"command": "analyze", "config": {"graph_file": graph_file, "sigma": 1.0}, "graph": g,
+                "passed": True}
         expected = json.dumps({**body, "graph": graph_to_dict(g)}, indent=2, sort_keys=True, allow_nan=False)
         assert cli._json_text(body) == expected + "\n"
+
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path, capsys):
+        path, report = "tests/data/undirected60.json", tmp_path / "report.json"
+        code, out = run_cli("analyze", path, capsys=capsys)
+        assert code == 0
+        assert run_cli("analyze", path, "--output", str(report), capsys=capsys)[0] == 0
+        golden = (ROOT / "tests/data/analyze_undirected60.json").read_bytes()
+        assert report.read_bytes() == out.out.encode() == golden
 
 
 class TestReproducibility:

@@ -5,9 +5,11 @@ import pytest
 
 from conftest import random_connected_graph
 from ddmnet import (DdmnetError, FamilySpec, Request, all_passed, build_graph, laplacian, load_graph,
-                    make_family, run_checks)
+                    make_family, mirror_graph, run_checks)
 from ddmnet.certainty import _covariance_step
 from ddmnet.verify import _row_sum_deviations
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_benchmark_suite_all_pass(benchmark_graph):
@@ -61,6 +63,23 @@ def test_two_exponentials_per_run(benchmark_graph, exponential_calls):
     assert exponential_calls == [(5, 5), (5, 5)]
 
 
+@pytest.mark.parametrize("path", ["fixtures/five_node_benchmark.json", "tests/data/undirected60.json"])
+def test_mirror_symmetric_part_reads_a_mirror_built_afresh(path, monkeypatch):
+    # an undirected graph is its own mirror, so the request's mirror Laplacian is
+    # lap itself; the check compares (L + L^T) / 2 with the Laplacian of a mirror
+    # built by mirror_graph, and a mirror that is off by 1e-6 must fail it
+    g = load_graph(str(ROOT / path))
+    assert {r.name: r.status for r in run_checks(Request(g))}["mirror-symmetric-part"] == "PASS"
+
+    def off(h):
+        mirror = mirror_graph(h)
+        return build_graph(mirror.n, [(k, j, w + 1e-6) for k, j, w in mirror.edges])
+
+    monkeypatch.setattr("ddmnet.verify.mirror_graph", off)
+    statuses = {r.name: r.status for r in run_checks(Request(g))}
+    assert statuses["mirror-symmetric-part"] == "FAIL"
+
+
 def test_no_geodesic_closeness(closeness_calls):
     # the centrality route needs only the information scores
     rng = np.random.default_rng(56)
@@ -76,9 +95,6 @@ def test_plateau_time_beyond_the_float_range_is_an_error():
     with pytest.raises(DdmnetError, match=r"^the covariance at t = 0\.5 \* 2\^1025 overflows double "
                                           r"precision: edge weights lie in \[3e-308, 3e-308\]$"):
         run_checks(Request(g))
-
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("g", [load_graph(str(ROOT / "fixtures/five_node_benchmark.json")),
