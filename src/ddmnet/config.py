@@ -28,6 +28,20 @@ class Tolerances:
     covariance_cross_atol: float = 1e-6
     # path-enumeration oracle vs matrix information
     oracle_agreement_atol: float = 1e-6
+    # verify: mirror Laplacian vs the symmetric part (L + L^T) / 2, relative to max |L|
+    mirror_symmetric_rtol: float = 1e-12
+    # verify: row sums of Phi^k - I for the unit-noise propagator
+    row_stochastic_atol: float = 1e-9
+    # verify: dispersion-Kirchhoff residual, relative to the total dispersion
+    dispersion_identity_rtol: float = 1e-9
+    # verify: unit-noise |P(t) - t I| at t = 1e-6
+    covariance_small_time_atol: float = 1e-9
+    # verify: slack of the unit-noise variance envelope [t / n, t]
+    covariance_envelope_atol: float = 1e-9
+    # verify: large-time plateau gap, relative to max(1, t)
+    covariance_plateau_rtol: float = 1e-9
+    # verify: simulator panel product vs step-by-step states, relative to max |x|
+    panel_vs_steps_rtol: float = 1e-12
     # scores are rounded to this many decimals before ranking, so that
     # exact mathematical ties perturbed by float noise break identically
     # across different computation routes

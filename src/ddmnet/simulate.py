@@ -24,7 +24,8 @@ powers of I - hL, never the exact propagator, so the simulation stays an
 independent check of the covariance route. Building K costs span n^3 flops
 per chunk, on top of the batch span n^2 of the products, so where n rivals
 the chunk's batch `_takes_steps` has the chunk step instead, one product per
-step on the same panel of normals.
+step on the same panel of normals. `_advance_panel` and `_advance_steps` are
+those two advances; `verify` runs both on one draw and compares the states.
 
 Chunks of CHUNK_TRAJECTORIES trajectories run in a process pool with one
 worker per chunk, up to the number of CPUs this process may use; a single
@@ -303,6 +304,35 @@ def _panel_operator(step_matrix_t: np.ndarray, span: int,
     return stack.reshape(span * n, n), power
 
 
+def _draw_normals(gens: list[np.random.Generator], noise: np.ndarray) -> None:
+    """Fill row b of `noise` with standard normals from gens[b], in place."""
+    for row, gen in zip(noise, gens):
+        gen.standard_normal(out=row)
+
+
+def _advance_panel(x: np.ndarray, noise: np.ndarray, operator: tuple[np.ndarray, np.ndarray],
+                   drift: float, span: int) -> np.ndarray:
+    """x M^span + noise K + drift span: one panel of `span` steps in two products,
+    with `operator` = (K, M^span) from `_panel_operator`."""
+    stack, power = operator
+    x = x @ power + noise @ stack
+    x += drift * span  # M's columns sum to 1: the drift row passes each step unchanged
+    return x
+
+
+def _advance_steps(x: np.ndarray, noise: np.ndarray, step_matrix_t: np.ndarray,
+                   noise_scale: float, drift: float) -> np.ndarray:
+    """The same panel step by step, x <- x M + (sigma sqrt(h) xi + beta h), one
+    product per step. Scales and shifts `noise` in place."""
+    n = step_matrix_t.shape[0]
+    noise *= noise_scale
+    noise += drift
+    for col in range(0, noise.shape[1], n):
+        x = x @ step_matrix_t
+        x += noise[:, col:col + n]
+    return x
+
+
 @np.errstate(over="ignore", invalid="ignore")  # simulate_ensemble names an overflow's cause
 def _simulate_chunk(lap: np.ndarray, cfg: SimConfig, lo: int, hi: int,
                     sample_steps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -334,22 +364,14 @@ def _simulate_chunk(lap: np.ndarray, cfg: SimConfig, lo: int, hi: int,
     for idx in sorted(range(len(sample_steps)), key=sample_steps.__getitem__):
         while done < sample_steps[idx]:
             span = min(PANEL_STEPS, sample_steps[idx] - done)
-            width = span * n
-            for b, gen in enumerate(gens):
-                gen.standard_normal(out=noise[b, :width])
-            if steps:  # x <- x M + (sigma sqrt(h) xi + beta h), step by step
-                panel = noise[:, :width]
-                panel *= noise_scale
-                panel += drift
-                for col in range(0, width, n):
-                    x = x @ step_matrix_t
-                    x += panel[:, col:col + n]
+            panel = noise[:, :span * n]
+            _draw_normals(gens, panel)
+            if steps:
+                x = _advance_steps(x, panel, step_matrix_t, noise_scale, drift)
             else:
                 if span not in operators:
                     operators[span] = _panel_operator(step_matrix_t, span, noise_scale)
-                stack, power = operators[span]
-                x = x @ power + noise[:, :width] @ stack
-                x += drift * span  # M's columns sum to 1: the drift row passes each step unchanged
+                x = _advance_panel(x, panel, operators[span], drift, span)
             done += span
         sums[idx] += x.sum(axis=0)  # a t = 0 sample adds the zero state
         outers[idx] += x.T @ x
@@ -417,12 +439,14 @@ def simulate_ensemble(g: WeightedDigraph, cfg: SimConfig, workers: int | None = 
     return Ensemble(n=g.n, config=cfg, sums=sums, outers=outers)
 
 
-def _moments_error(params: ModelParams, t: float, problem: str = "overflow double precision") -> DdmnetError:
-    """The error for moments at time t that double precision cannot hold. It names
-    sigma, or beta where the drift beta t outgrows the noise sigma sqrt(t)."""
+def _moments_error(params: ModelParams, t: float, problem: str = "overflow double precision",
+                   subject: str = "moments") -> DdmnetError:
+    """The error for simulated moments (or states) at time t that double precision
+    cannot hold. It names sigma, or beta where the drift beta t outgrows the noise
+    sigma sqrt(t)."""
     cause = (f"sigma = {params.sigma:.6g}" if params.sigma >= abs(params.beta) * math.sqrt(t)
              else f"beta = {params.beta:.6g}")
-    return DdmnetError(f"the simulated moments at t = {t:.6g} {problem}: {cause} is too large")
+    return DdmnetError(f"the simulated {subject} at t = {t:.6g} {problem}: {cause} is too large")
 
 
 def empirical_moments(ensemble: Ensemble, t: float) -> MomentReport:

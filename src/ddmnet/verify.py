@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blasthreads import numpy_blas_on_one_thread
 from .centrality import path_oracle_pairs, rank_nodes
 from .certainty import (
     ModelParams,
@@ -26,9 +27,14 @@ from .config import DEFAULT_TOL
 from .errors import DisconnectedGraphError, PathCapExceededError
 from .graph import laplacian, laplacian_row_residual, mirror_graph
 from .request import Request
-from .simulate import SimConfig, simulate_ensemble
+from .simulate import (_advance_panel, _advance_steps, _draw_normals, _moments_error, _panel_operator,
+                       _stream_generators)
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
+
+# the simulator check's one draw: rows, panels per row and steps per panel
+PANEL_CHECK_TRAJECTORIES, PANEL_CHECK_PANELS, PANEL_CHECK_SPAN = 16, 2, 10
+PANEL_CHECK_SEED = 1234
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,44 @@ def _row_sum_deviations(e: np.ndarray, k_max: int) -> np.ndarray:
         d = d + e @ (1.0 + d)
         row[:] = d
     return out
+
+
+def _panel_vs_steps(lap: np.ndarray, params: ModelParams) -> tuple[str, str]:
+    """Status and detail of the simulator's panel identity: S Euler-Maruyama
+    steps from row states x equal x M^S + xi K + beta h S 1 (simulate.py).
+
+    One draw of PANEL_CHECK_TRAJECTORIES rows, each PANEL_CHECK_PANELS panels of
+    PANEL_CHECK_SPAN steps, goes through both advances: the panel helper's two
+    products against `_panel_operator`, and the step helper's one product per
+    step against M = (I - hL)^T. The batch is not a statistical sample: the
+    check tests a linear identity, and every row meets every block of K and
+    M^S. The second panel makes x M^S act on a nonzero state. Both run on one
+    BLAS thread, so the detail's digits do not depend on the pool.
+    """
+    n = lap.shape[0]
+    norm_inf = float(np.abs(lap).sum(axis=1).max())
+    h = 0.01 if norm_inf == 0.0 else min(0.01, 0.05 / norm_inf)
+    span = PANEL_CHECK_SPAN
+    drift, noise_scale = params.beta * h, params.sigma * math.sqrt(h)
+    step_matrix_t = (np.eye(n) - h * lap).T
+    noise = np.empty((PANEL_CHECK_TRAJECTORIES, PANEL_CHECK_PANELS * span * n))
+    _draw_normals(_stream_generators(PANEL_CHECK_SEED, 0, PANEL_CHECK_TRAJECTORIES), noise)
+    x_panel = x_steps = np.zeros((PANEL_CHECK_TRAJECTORIES, n))
+    with numpy_blas_on_one_thread(), np.errstate(over="ignore", invalid="ignore"):
+        operator = _panel_operator(step_matrix_t, span, noise_scale)
+        for col in range(0, noise.shape[1], span * n):
+            panel = noise[:, col:col + span * n]
+            # the step helper scales its panel in place, so it reads the draw second
+            x_panel = _advance_panel(x_panel, panel, operator, drift, span)
+            x_steps = _advance_steps(x_steps, panel, step_matrix_t, noise_scale, drift)
+        gap = float(np.abs(x_panel - x_steps).max())
+        scale = float(np.abs(x_steps).max())
+    if not (math.isfinite(gap) and math.isfinite(scale)):
+        raise _moments_error(params, PANEL_CHECK_PANELS * span * h, subject="states")
+    ok = gap <= DEFAULT_TOL.panel_vs_steps_rtol * scale
+    return (PASS if ok else FAIL,
+            f"max |panel - steps| / max |x| = {gap / scale if scale else 0.0:.2e}; "
+            f"{PANEL_CHECK_TRAJECTORIES} trajectories, {PANEL_CHECK_PANELS} panels of {span} steps")
 
 
 def run_checks(req: Request, oracle_cap: int = 8) -> list[CheckResult]:
@@ -87,9 +131,8 @@ def run_checks(req: Request, oracle_cap: int = 8) -> list[CheckResult]:
     twice = mirror_graph(mirror)
     if profile.balanced:
         sym_gap = float(np.abs(laplacian(twice) - (lap + lap.T) / 2.0).max())
-        record("mirror-symmetric-part",
-               PASS if sym_gap <= 1e-12 * max(1.0, float(np.abs(lap).max())) else FAIL,
-               f"max deviation = {sym_gap:.2e}")
+        ok = sym_gap <= DEFAULT_TOL.mirror_symmetric_rtol * max(1.0, float(np.abs(lap).max()))
+        record("mirror-symmetric-part", PASS if ok else FAIL, f"max deviation = {sym_gap:.2e}")
     else:
         record("mirror-symmetric-part", SKIP, "identity holds for balanced digraphs only")
     record("mirror-idempotent", PASS if twice == mirror else FAIL)
@@ -111,17 +154,18 @@ def run_checks(req: Request, oracle_cap: int = 8) -> list[CheckResult]:
     # and so do those of Phi^4 - I and Phi^10 - I
     worst = max(float(np.abs(e_small.sum(axis=1)).max()),
                 float(np.abs(_row_sum_deviations(e_half, 10)[[0, 3, 9]]).max()))
-    record("row-stochastic-propagator", PASS if worst <= 1e-9 else FAIL, f"max |row sum - 1| = {worst:.2e}")
+    record("row-stochastic-propagator", PASS if worst <= DEFAULT_TOL.row_stochastic_atol else FAIL,
+           f"max |row sum - 1| = {worst:.2e}")
 
     # certainty routes
     if req.routes:
         spectral_report, group_report, centrality_report = req.routes
         record("spectral-route", PASS, "certainty computed from the eigenstructure")
-        # the last pair comes from one factorization: it checks the bridge formula
+        # the last pair comes from one Cholesky factor: it checks the bridge identity
         # 1/mu = (sigma^2 / 2) (1/kappa - K_f / n^2), not an independent route
         for name, a, b in (("route-spectral-vs-group-inverse", spectral_report, group_report),
                            ("route-spectral-vs-centrality", spectral_report, centrality_report),
-                           ("route-group-inverse-vs-centrality", group_report, centrality_report)):
+                           ("bridge-identity-group-inverse-centrality", group_report, centrality_report)):
             gap = max(_rel_gap(x, y) for x, y in zip(a.inv_mu, b.inv_mu))
             record(name, PASS if gap <= DEFAULT_TOL.route_agreement_rtol else FAIL,
                    f"max per-node gap = {gap:.2e}")
@@ -132,7 +176,8 @@ def run_checks(req: Request, oracle_cap: int = 8) -> list[CheckResult]:
 
         disp = dispersion_summary(spectral_report, req.info.kirchhoff_index)
         if g.is_undirected():
-            ok = disp.identity_residual <= 1e-9 * max(1.0, disp.total_dispersion)
+            scale = max(1.0, disp.total_dispersion)
+            ok = disp.identity_residual <= DEFAULT_TOL.dispersion_identity_rtol * scale
             record("dispersion-kirchhoff-identity", PASS if ok else FAIL,
                    f"residual = {disp.identity_residual:.2e}")
         else:
@@ -143,19 +188,20 @@ def run_checks(req: Request, oracle_cap: int = 8) -> list[CheckResult]:
         why = "Laplacian not normal" if not profile.normal_laplacian else "not strongly connected"
         record("spectral-route", SKIP, f"{why}; certainty index undefined for this graph")
         for name in ("route-spectral-vs-group-inverse", "route-spectral-vs-centrality",
-                     "route-group-inverse-vs-centrality"):
+                     "bridge-identity-group-inverse-centrality"):
             record(name, SKIP, "certainty routes need normal + strongly connected")
         record("ranking-certainty-vs-info-centrality", SKIP, "certainty undefined")
         record("dispersion-kirchhoff-identity", SKIP, "certainty undefined")
 
     # covariance: small-time isolation, envelope bounds, large-time plateau
     gap_small = float(np.abs(cov_small - t_small * np.eye(g.n)).max())
-    record("covariance-small-time", PASS if gap_small <= 1e-9 else FAIL,
+    record("covariance-small-time", PASS if gap_small <= DEFAULT_TOL.covariance_small_time_atol else FAIL,
            f"max |P - t I| (unit noise) = {gap_small:.2e} at t = {t_small}")
 
     if profile.strongly_connected:
+        slack = DEFAULT_TOL.covariance_envelope_atol
         outside = [t for t, var in var_general.items()
-                   if not np.all((var >= t / g.n - 1e-9) & (var <= t + 1e-9))]
+                   if not np.all((var >= t / g.n - slack) & (var <= t + slack))]
         record("covariance-envelope-bounds", FAIL if outside else PASS,
                f"unit-noise variance outside [t / n, t] at t = {outside[0]}" if outside else "")
     else:
@@ -169,7 +215,8 @@ def run_checks(req: Request, oracle_cap: int = 8) -> list[CheckResult]:
         t_late, _, p_late = _covariance_doubled(lap, e_half, p_half, 0.5, k)
         offset = np.diag(p_late) - t_late / g.n
         gap_late = float(np.abs(offset - np.asarray(spectral_report.inv_mu) / params.sigma**2).max())
-        record("covariance-large-time-plateau", PASS if gap_late <= 1e-9 * max(1.0, t_late) else FAIL,
+        ok = gap_late <= DEFAULT_TOL.covariance_plateau_rtol * max(1.0, t_late)
+        record("covariance-large-time-plateau", PASS if ok else FAIL,
                f"max gap = {gap_late:.2e} at t = {t_late:.2f}")
 
         cov_normal = spectral_covariance(req.spectral, ModelParams(), 2.0)
@@ -181,17 +228,8 @@ def run_checks(req: Request, oracle_cap: int = 8) -> list[CheckResult]:
         record("covariance-large-time-plateau", SKIP, "needs a normal, strongly connected graph")
         record("covariance-normal-vs-integrated", SKIP, "needs a normal, strongly connected graph")
 
-    # simulator: identical moment sums on a repeated fixed-seed run
-    norm_inf = float(np.abs(lap).sum(axis=1).max())
-    h = 0.01 if norm_inf == 0.0 else min(0.01, 0.05 / norm_inf)
-    sim_cfg = SimConfig(params=params, t_max=20 * h, step=h, trajectories=64, seed=1234,
-                        sample_times=(20 * h,))
-    first = simulate_ensemble(g, sim_cfg)
-    second = simulate_ensemble(g, sim_cfg)
-    identical = (np.array_equal(first.sums, second.sums)
-                 and np.array_equal(first.outers, second.outers))
-    record("simulation-determinism", PASS if identical else FAIL,
-           f"{sim_cfg.trajectories} trajectories, {sim_cfg.total_steps} steps, repeated run")
+    # simulator: the panel product against the step-by-step recurrence, on one draw
+    record("simulation-panel-vs-steps", *_panel_vs_steps(lap, params))
 
     # path-enumeration oracle vs matrix information on the mirror
     if g.n <= 1:

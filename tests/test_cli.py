@@ -500,6 +500,14 @@ class TestGraphIO:
                            "beta = 1e+200 is too large\n")
         assert out.out == ""
 
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
+    def test_large_beta_passes_verify(self, capsys):
+        # verify forms no moment sums: its simulator check compares two advances of
+        # one draw, whose states reach 1.7e299 at beta = 1e300
+        code, out = run_cli("verify", BENCHMARK, "--beta", "1e300", capsys=capsys)
+        assert code == 0, out.err
+        assert "PASS simulation-panel-vs-steps" in out.err
+
     @pytest.mark.parametrize("beta", ["1e8", "1e20", "1e50"])
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way would exit 3
     def test_beta_cancelling_the_spread_is_usage_error(self, beta, capsys):

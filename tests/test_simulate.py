@@ -23,6 +23,7 @@ from ddmnet import (
     simulate_ensemble,
     validate_moments,
 )
+from ddmnet.config import DEFAULT_TOL
 
 PARAMS = ModelParams(beta=1.0, sigma=1.0)
 
@@ -204,13 +205,52 @@ class TestDeterminism:
 REAL_TAKES_STEPS = simulate_module._takes_steps
 
 
+@st.composite
+def panel_cases(draw):
+    """A random digraph's M = (I - hL)^T at verify's h = min(0.01, 0.05 / ||L||_inf),
+    with a batch, a span, sigma, beta and a seed for the normals."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.0, 1.0))
+    edges = [(k, j, float(10.0 ** rng.uniform(-3, 3))) for k in range(1, n + 1) for j in range(1, n + 1)
+             if k != j and rng.random() < density]
+    lap = laplacian(build_graph(n, edges))
+    norm_inf = float(np.abs(lap).sum(axis=1).max())
+    h = 0.01 if norm_inf == 0.0 else min(0.01, 0.05 / norm_inf)
+    span = draw(st.integers(1, simulate_module.PANEL_STEPS))
+    return ((np.eye(n) - h * lap).T, h, draw(st.integers(1, 64)), span,
+            draw(st.floats(2.0**-20, 1e150)), draw(st.floats(-1e300, 1e300)), rng)
+
+
+class TestPanelIdentity:
+    """The identity behind the blocked panels, which verify's
+    simulation-panel-vs-steps check tests: S steps x <- x M + sigma sqrt(h) xi + beta h
+    equal x M^S + [xi_0 ... xi_{S-1}] K + beta h S."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=panel_cases())
+    @pytest.mark.filterwarnings("error")
+    def test_panel_helper_matches_the_step_helper(self, case):
+        step_matrix_t, h, batch, span, sigma, beta, rng = case
+        n = step_matrix_t.shape[0]
+        noise_scale, drift = sigma * math.sqrt(h), beta * h
+        operator = simulate_module._panel_operator(step_matrix_t, span, noise_scale)
+        x_panel = x_steps = np.zeros((batch, n))
+        # two panels, so that x M^S acts on a nonzero state
+        for noise in rng.standard_normal((2, batch, span * n)):
+            x_panel = simulate_module._advance_panel(x_panel, noise, operator, drift, span)
+            x_steps = simulate_module._advance_steps(x_steps, noise, step_matrix_t, noise_scale, drift)
+        gap = np.abs(x_panel - x_steps).max()
+        assert gap <= DEFAULT_TOL.panel_vs_steps_rtol * np.abs(x_steps).max()
+
+
 class TestPathRule:
     # the measured crossover sits near 2n = batch at spans 20 and 250 alike
     @pytest.mark.parametrize("n,batch,steps", [
         (5, 1024, False),  # the montecarlo chunks
-        (5, 64, False),  # verify on the five-node fixture
+        (5, 64, False),  # 64 trajectories on the five-node fixture
         (31, 64, False),
-        (32, 64, True),  # verify from n = 32 on
+        (32, 64, True),  # 64 trajectories step from n = 32 on
         (100, 64, True),
         (100, 1024, False),
         (511, 1024, False),

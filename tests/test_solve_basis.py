@@ -122,10 +122,10 @@ def stages(laplacian, adjacency, normality_residual, strongly_connected, mirror_
 # (undirected60, the fixture) is its own mirror, so neither is built again,
 # and the profile's search stands for the mirror's. analyze leaves the mirror
 # alone where the certainty index is undefined (digraph6 is not normal).
-# verify adds simulate_ensemble's own Laplacian on each of its two
-# determinism runs, and the mirror of the mirror for the idempotence check;
-# on a balanced graph (undirected60, the fixture) also that mirror's
-# Laplacian, for the symmetric-part check.
+# verify adds the mirror of the mirror for the idempotence check, and on a
+# balanced graph (undirected60, the fixture) also that mirror's Laplacian,
+# for the symmetric-part check; its simulator check reads the request's
+# Laplacian.
 @pytest.mark.parametrize("argv,expected", [
     (["analyze", UNDIRECTED60], stages(1, 1, 1, 1)),
     (["analyze", FIXTURE], stages(1, 1, 1, 1)),
@@ -133,9 +133,9 @@ def stages(laplacian, adjacency, normality_residual, strongly_connected, mirror_
     (["centrality", UNDIRECTED60], stages(1, 1, 1, 1)),
     (["centrality", FIXTURE], stages(1, 1, 1, 1)),
     (["centrality", DIGRAPH6], stages(2, 2, 1, 2, 1)),
-    (["verify", UNDIRECTED60], stages(4, 4, 1, 1, 1)),
-    (["verify", FIXTURE], stages(4, 4, 1, 1, 1)),
-    (["verify", DIGRAPH6], stages(4, 4, 1, 2, 2)),
+    (["verify", UNDIRECTED60], stages(2, 2, 1, 1, 1)),
+    (["verify", FIXTURE], stages(2, 2, 1, 1, 1)),
+    (["verify", DIGRAPH6], stages(2, 2, 1, 2, 2)),
     (["family", "complete:9:1"], stages(1, 1, 1, 1)),
     (["simulate", FIXTURE, "--trajectories", "64", "--t-max", "0.1", "--sample-times", "0.1"],
      stages(2, 2, 1, 1)),

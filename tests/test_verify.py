@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph
-from ddmnet import (DdmnetError, FamilySpec, Request, all_passed, build_graph, laplacian, load_graph,
-                    make_family, mirror_graph, run_checks)
+import ddmnet.simulate as simulate_module
+from ddmnet import (DdmnetError, FamilySpec, ModelParams, Request, all_passed, build_graph, laplacian,
+                    load_graph, make_family, mirror_graph, run_checks)
 from ddmnet.certainty import _covariance_step
+from ddmnet.cli import main
 from ddmnet.verify import _row_sum_deviations
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -15,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_benchmark_suite_all_pass(benchmark_graph):
     results = run_checks(Request(benchmark_graph))
     assert all_passed(results)
-    assert all(r.status == "PASS" for r in results if r.name.startswith("route-"))
+    assert all(r.status == "PASS" for r in results if r.name.startswith(("route-", "bridge-")))
 
 
 def test_directed_ring_routes_apply():
@@ -110,3 +112,35 @@ def test_row_sum_recurrence_matches_matrix_powers(g):
     for k in (4, 10):
         reference = (np.linalg.matrix_power(eye + e, k) - eye).sum(axis=1)
         assert np.abs(deviations[k - 1] - reference).max() <= 1e-14, k
+
+
+def reversed_blocks(step_matrix_t, span, noise_scale):
+    """`_panel_operator` with the blocks of K in reverse order: block s is M^s."""
+    stack, power = simulate_module._panel_operator(step_matrix_t, span, noise_scale)
+    n = power.shape[0]
+    return stack.reshape(span, n, n)[::-1].reshape(span * n, n), power
+
+
+def no_drift(x, noise, operator, drift, span):
+    return simulate_module._advance_panel(x, noise, operator, 0.0, span)
+
+
+@pytest.mark.parametrize("attr,mutant", [("_panel_operator", reversed_blocks), ("_advance_panel", no_drift)],
+                         ids=["reversed-blocks", "no-drift"])
+def test_a_broken_panel_fails_the_simulator_check(attr, mutant, monkeypatch, capsys):
+    # both advances read one draw, so the check fails wherever the panel algebra is wrong
+    assert main(["verify", str(ROOT / "fixtures/five_node_benchmark.json")]) == 0
+    assert "PASS simulation-panel-vs-steps" in capsys.readouterr().err
+    monkeypatch.setattr(f"ddmnet.verify.{attr}", mutant)
+    assert main(["verify", str(ROOT / "fixtures/five_node_benchmark.json")]) == 1
+    assert "FAIL simulation-panel-vs-steps" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulator_states_that_overflow_name_beta(monkeypatch):
+    # 2 panels of 200 steps of drift beta h = 1e306 pass the largest double; the
+    # check raises, never a FAIL on inf or nan
+    monkeypatch.setattr("ddmnet.verify.PANEL_CHECK_SPAN", 200)
+    with pytest.raises(DdmnetError, match=r"^the simulated states at t = 4 overflow double precision: "
+                                          r"beta = 1e\+308 is too large$"):
+        run_checks(Request(build_graph(1, []), ModelParams(beta=1e308)))
