@@ -2,8 +2,8 @@
 
 ddmnet's linear algebra runs on the OpenBLAS copy bundled in numpy's
 wheel, with that copy's default thread pool; scipy, loaded by closeness
-alone, serves Dijkstra, which calls no BLAS. Importing ddmnet changes no
-process state.
+alone, serves its shortest paths, which call no BLAS. Importing ddmnet
+changes no process state.
 
 Monte Carlo runs that copy on one thread: `single_thread_numpy_blas()`
 initializes each worker process, and `numpy_blas_on_one_thread()` holds the

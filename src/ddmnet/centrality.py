@@ -36,11 +36,14 @@ def geodesic_closeness(g: WeightedDigraph) -> tuple[np.ndarray, tuple[float, ...
     """All-pairs geodesic distances (edge length 1/w) and per-node closeness.
 
     Closeness of a node is the inverse of its mean distance to all nodes,
-    the zero self-distance included. Distances come from scipy's Dijkstra
-    over the arcs; lengths are positive by construction. A length that
-    overflows (a subnormal weight) raises GraphValidationError naming its edge.
-    scipy is imported here, on first use, so that commands which report no
-    closeness never load it.
+    the zero self-distance included. Distances come from scipy's
+    shortest_path over the arcs, which picks its algorithm by the arc count
+    m: Floyd-Warshall, O(n^3), where m >= n^2 / 4, and Dijkstra,
+    O(n m log n), below. The two add up a path's lengths in different
+    orders, so their distances can differ in the last bits. Lengths are
+    positive by construction. A length that overflows (a subnormal weight)
+    raises GraphValidationError naming its edge. scipy is imported here, on
+    first use, so that commands which report no closeness never load it.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
@@ -54,7 +57,7 @@ def geodesic_closeness(g: WeightedDigraph) -> tuple[np.ndarray, tuple[float, ...
         raise GraphValidationError(f"edge ({g.src[i]}, {g.dst[i]}): length 1/w overflows double precision "
                                    f"(w = {g.w[i]:.3g})")
     lengths = csr_matrix((length, (g.src - 1, g.dst - 1)), shape=(n, n))
-    dist = shortest_path(lengths, method="D", directed=True)
+    dist = shortest_path(lengths, directed=True)
     if not np.all(np.isfinite(dist)):
         raise DisconnectedGraphError("graph is disconnected: some geodesic distances are infinite")
     means = dist.sum(axis=1) / n
@@ -249,6 +252,9 @@ class PathBundle:
     overlap: np.ndarray
 
 
+_MAX_PATHS = 10000  # simple paths per node pair before the oracle gives up
+
+
 def _enumerate_simple_paths(adj: list[list[tuple[int, float]]], src: int, dst: int,
                             max_paths: int) -> list[list[int]]:
     paths: list[list[int]] = []
@@ -274,7 +280,7 @@ def _enumerate_simple_paths(adj: list[list[tuple[int, float]]], src: int, dst: i
 
 
 def enumerate_combined_paths(g: WeightedDigraph, source: int, target: int,
-                             max_nodes: int = 10, max_paths: int = 10000) -> tuple[PathBundle, float]:
+                             max_nodes: int = 10, max_paths: int = _MAX_PATHS) -> tuple[PathBundle, float]:
     """Enumerate all simple paths between two nodes and return the pairwise
     information computed from them.
 
@@ -297,14 +303,24 @@ def enumerate_combined_paths(g: WeightedDigraph, source: int, target: int,
         raise GraphValidationError(f"node pair ({source}, {target}) out of range 1..{n}")
     if source == target:
         raise GraphValidationError("path enumeration needs two distinct nodes")
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    return _combined_paths(*_path_inputs(g), source, target, max_paths)
+
+
+def _path_inputs(g: WeightedDigraph) -> tuple[list[list[tuple[int, float]]], dict[frozenset[int], float]]:
+    """The 0-based adjacency lists of g, each sorted, and the weight of each edge by its node pair."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
     weight: dict[frozenset[int], float] = {}
     for k, j, w in g.edges:
         adj[k - 1].append((j - 1, w))
         weight[frozenset((k - 1, j - 1))] = w
     for row in adj:
         row.sort()
+    return adj, weight
 
+
+def _combined_paths(adj: list[list[tuple[int, float]]], weight: dict[frozenset[int], float],
+                    source: int, target: int, max_paths: int) -> tuple[PathBundle, float]:
+    """enumerate_combined_paths on the _path_inputs of a validated undirected graph."""
     raw_paths = _enumerate_simple_paths(adj, source - 1, target - 1, max_paths)
     if not raw_paths:
         raise DisconnectedGraphError(f"no path between nodes {source} and {target}")
@@ -361,11 +377,14 @@ def naive_combined_information(bundle: PathBundle) -> float:
 def path_oracle_pairs(g: WeightedDigraph, info: InformationMatrix) -> list[dict]:
     """Per node pair k < j of the undirected graph g with solve basis `info`: the
     path count, I_kj from `info`, the oracle's value and the orientation-blind
-    combination (None, with a note, where its overlap matrix is singular)."""
+    combination (None, with a note, where its overlap matrix is singular). The
+    adjacency lists and edge weights are built once for all pairs."""
+    _require_undirected(g)
+    adj, weight = _path_inputs(g)
     pairs = []
     for k in range(1, g.n + 1):
         for j in range(k + 1, g.n + 1):
-            bundle, oracle = enumerate_combined_paths(g, k, j, max_nodes=g.n)
+            bundle, oracle = _combined_paths(adj, weight, k, j, _MAX_PATHS)
             entry = {
                 "pair": [k, j],
                 "paths": len(bundle.paths),

@@ -6,9 +6,9 @@ embed the full configuration so a run can be reproduced byte-for-byte.
 Exit codes: 0 ok, 1 verification failure, 2 usage or input errors, 3 an
 internal error (an unexpected exception, reported in one line on stderr).
 
-Every command but `centrality`, whose closeness runs scipy's Dijkstra,
-runs on numpy alone. numpy's BLAS keeps its default thread pool outside
-Monte Carlo chunks (README, "Threading").
+Every command but `centrality`, whose closeness runs scipy's shortest
+paths, runs on numpy alone. numpy's BLAS keeps its default thread pool
+outside Monte Carlo chunks (README, "Threading").
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from functools import cache
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .certainty import (
 )
 from .errors import DdmnetError, PathCapExceededError, StepCapError
 from .families import closed_form_covariance, closed_form_mu, make_family, parse_family_spec
-from .graph import load_graph
+from .graph import WeightedDigraph, load_graph
 from .request import Request
 from .simulate import SimConfig, empirical_moments, simulate_ensemble, validate_moments
 from .verify import FAIL, run_checks
@@ -62,48 +63,124 @@ def _emit(text: str, path: str | None) -> None:
             raise DdmnetError(f"cannot write {path}: {exc}") from exc
 
 
-# Where json.dumps(indent=2, sort_keys=True) puts the graph echo's empty edge
-# list. JSON strings hold no raw newline, so no user text can match this.
-_EMPTY_EDGES = '\n  "graph": {\n    "edges": [],'
-_CLOSE_ARC = "\n      ]"
+@cache
+def _layout(level: int) -> tuple[Callable[[object], str], str, str]:
+    """For a container nested `level` deep: json's C encoder writing one item
+    per line at the indentation of level + 1, that line break with its
+    indentation, and the one before the closing bracket. The encoder writes
+    floats by repr and refuses inf and nan, as json.dumps does."""
+    pad, end = "\n" + "  " * (level + 1), "\n" + "  " * level
+    return json.JSONEncoder(separators=("," + pad, ": "), sort_keys=True, allow_nan=False).encode, pad, end
+
+
+def _scalar_text(value: object, level: int) -> str:
+    """_layout(level)'s encoding of value, where every item of value, if a container,
+    is a scalar. The C encoder's ValueError omits the value it refuses; json.dumps names it."""
+    try:
+        return _layout(level)[0](value)
+    except ValueError:
+        json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+        raise
+
+
+_CONTAINERS = (dict, list, tuple, WeightedDigraph)
+
+
+def _scalar_dict(value: object) -> bool:
+    """True for a table row: a nonempty dict whose values are all scalars."""
+    return (isinstance(value, dict) and bool(value)
+            and not any(isinstance(v, _CONTAINERS) for v in value.values()))
+
+
+def _write_json(value: object, level: int, out: list[str]) -> None:
+    """Append to `out` the text of json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False) for value nested `level` deep. A WeightedDigraph is
+    written as graph_to_dict would give it; dict keys are strings.
+
+    A container whose items are all scalars is one call of the C encoder,
+    whose items, one per line, need only the brackets moved onto lines of
+    their own. So is a list of table rows, nonempty dicts of scalars: the
+    encoder writes it with the rows' own item separator, and each boundary
+    "},<separator>{" between two rows is rewritten with the list's. No
+    row's text can hold that boundary, since JSON strings hold no raw line
+    break. Any other container writes its items here.
+    """
+    if isinstance(value, WeightedDigraph):
+        _write_graph(value, level, out)
+        return
+    if not isinstance(value, (dict, list, tuple)):
+        out.append(_scalar_text(value, level))
+        return
+    if not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+        return
+    encode, pad, end = _layout(level)
+    items = value.values() if isinstance(value, dict) else value
+    if not any(isinstance(v, _CONTAINERS) for v in items):
+        text = _scalar_text(value, level)
+        out += (text[0], pad, text[1:-1], end, text[-1])
+    elif not isinstance(value, dict) and all(map(_scalar_dict, value)):
+        row_pad = _layout(level + 1)[1]
+        text = _scalar_text(value, level + 1)[2:-2].replace("}," + row_pad + "{", f"{pad}}},{pad}{{{row_pad}")
+        out += ("[", pad, "{", row_pad, text, pad, "}", end, "]")
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            out += ("," + pad if i else pad, encode(key), ": ")
+            _write_json(value[key], level + 1, out)
+        out += (end, "}")
+    else:
+        out.append("[")
+        for i, v in enumerate(value):
+            out.append("," + pad if i else pad)
+            _write_json(v, level + 1, out)
+        out += (end, "]")
+
+
+def _write_graph(g: WeightedDigraph, level: int, out: list[str]) -> None:
+    """Append graph_to_dict(g)'s text for g nested `level` deep.
+
+    Arcs hold ints and finite floats, written as json writes them (repr).
+    repr depends only on the value, so each distinct weight, and each node
+    label that occurs, is formatted once; indexing object arrays by g.src,
+    g.dst and the unique inverse gathers each arc's three pieces, appended
+    to `out` in place. An arc's opening piece also closes the arc before it.
+    repr of the distinct weights is most of the time, and the floor: numpy
+    has no faster formatter that writes the same digits.
+    """
+    pads = ["\n" + "  " * (level + d) for d in range(4)]
+    out += ("{", pads[1], '"edges": ')
+    m = g.src.size
+    if not m:
+        out.append("[]")
+    else:
+        close_arc = pads[2] + "]"
+        occurs = np.zeros(g.n + 1, dtype=bool)
+        occurs[g.src] = occurs[g.dst] = True
+        labels = np.flatnonzero(occurs).tolist()
+        opening, middle = np.empty((2, g.n + 1), dtype=object)
+        opening[labels] = [f"{close_arc},{pads[2]}[{pads[3]}{k},{pads[3]}" for k in labels]
+        middle[labels] = [f"{k},{pads[3]}" for k in labels]
+        weights, which = np.unique(g.w, return_inverse=True)
+        shown = np.array(list(map(repr, weights.tolist())), dtype=object)
+        arcs = np.empty((m, 3), dtype=object)
+        arcs[:, 0], arcs[:, 1], arcs[:, 2] = opening[g.src], middle[g.dst], shown[which]
+        arcs[0, 0] = arcs[0, 0][len(close_arc) + 1:]  # nothing to close before the first arc
+        out.append("[")
+        out += arcs.ravel().tolist()
+        out += (close_arc, pads[1], "]")
+    out += (",", pads[1], f'"n": {g.n},', pads[1], '"undirected": false', pads[0], "}")
 
 
 def _json_text(body: dict) -> str:
     """json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n", where
     body["graph"] is a WeightedDigraph echoed as graph_to_dict would give it.
-
-    The body is dumped with an empty edge list, and the arcs are written into
-    its place: the text before the list, three pieces per arc and the text
-    after it go through one "".join, so the long text is built once. Arcs hold
-    ints and finite floats, written as json writes them (repr). repr depends
-    only on the value, so each distinct weight, and each node label that
-    occurs, is formatted once; indexing object arrays by g.src, g.dst and the
-    unique inverse gathers each arc's pieces. An arc's opening piece also
-    closes the arc before it. repr of the distinct weights is most of the
-    time, and the floor: numpy has no faster formatter that writes the same
-    digits.
-    """
-    g = body["graph"]
-    text = json.dumps({**body, "graph": {"n": g.n, "edges": [], "undirected": False}},
-                      indent=2, sort_keys=True, allow_nan=False)
-    m = g.src.size
-    if not m:
-        return text + "\n"
-    cut = text.index(_EMPTY_EDGES) + len(_EMPTY_EDGES) - 2  # at the list's closing "],"
-    occurs = np.zeros(g.n + 1, dtype=bool)
-    occurs[g.src] = occurs[g.dst] = True
-    labels = np.flatnonzero(occurs).tolist()
-    opening, middle = np.empty((2, g.n + 1), dtype=object)
-    opening[labels] = [f"{_CLOSE_ARC},\n      [\n        {k},\n        " for k in labels]
-    middle[labels] = [f"{k},\n        " for k in labels]
-    weights, which = np.unique(g.w, return_inverse=True)
-    shown = np.array(list(map(repr, weights.tolist())), dtype=object)
-    pieces = np.empty(3 * m + 4, dtype=object)
-    arcs = pieces[1:-3].reshape(m, 3)
-    arcs[:, 0], arcs[:, 1], arcs[:, 2] = opening[g.src], middle[g.dst], shown[which]
-    arcs[0, 0] = arcs[0, 0][len(_CLOSE_ARC) + 1:]  # nothing to close before the first arc
-    pieces[0], pieces[-3], pieces[-2], pieces[-1] = text[:cut], _CLOSE_ARC + "\n    ", text[cut:], "\n"
-    return "".join(pieces.tolist())
+    The pieces of _write_json go through one "".join, so the long text is
+    built once."""
+    out: list[str] = []
+    _write_json(body, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def emit_report(report: dict, fmt: str, path: str | None) -> None:
@@ -111,11 +188,12 @@ def emit_report(report: dict, fmt: str, path: str | None) -> None:
 
     The csv_rows / csv_fields / curves entries are presentation payloads for
     the respective formats and are stripped from JSON output. The JSON text
-    comes from _json_text, which writes the graph echo's arcs from gathered
-    pieces and the rest of the report in one join; formatting the distinct
-    weights by repr is most of its cost on a large graph. The curves
-    header holds plain column names and its rows hold floats, so each line is
-    the comma join of their repr, as csv.writer would write it.
+    comes from _json_text, which lays out the graph echo's arcs from gathered
+    pieces and the other containers through json's C encoder, in one join;
+    formatting the distinct weights by repr is most of its cost on a large
+    graph. The curves header holds plain column names and its rows hold
+    floats, so each line is the comma join of their repr, as csv.writer
+    would write it.
     """
     if fmt == "json":
         body = {k: v for k, v in report.items() if k not in ("csv_rows", "csv_fields", "curves")}
@@ -278,7 +356,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               "seed": args.seed, "sample_times": list(sample_times), "gate": args.gate,
               "format": args.format}
     report = _base_report("simulate", config, req)
-    ensemble = simulate_ensemble(g, cfg, workers=args.workers)
+    ensemble = simulate_ensemble(g, cfg, workers=args.workers, lap=req.lap)
     overall_pass = True
     entries = []
     csv_rows = []

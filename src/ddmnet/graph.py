@@ -70,8 +70,9 @@ class WeightedDigraph:
 
     def is_undirected(self) -> bool:
         """True if every edge has a reverse edge of equal weight, to 1e-12 relative."""
-        # ordered by (dst, src), the reverse of arc i sits at rev[i] exactly when every arc has one
-        rev = np.lexsort((self.src, self.dst))
+        # ordered by (dst, src), the reverse of arc i sits at rev[i] exactly when every arc has one;
+        # labels in 1..n <= 2^15 make dst (n + 1) + src an exact key in that order
+        rev = np.argsort(self.dst * (self.n + 1) + self.src, kind="stable")
         return (np.array_equal(self.dst[rev], self.src) and np.array_equal(self.src[rev], self.dst)
                 and bool(np.all(np.abs(self.w[rev] - self.w) <= 1e-12 * np.maximum(1.0, self.w))))
 
@@ -230,7 +231,9 @@ def _graph_from_columns(n: int, src: np.ndarray, dst: np.ndarray, wts: np.ndarra
     end = _first((src < 1) | (src > n) | (dst < 1) | (dst > n) | (src == dst), len(wts))
     end = _first(~(wts[:end] > 0) | ~np.isfinite(wts[:end]), end)
     src, dst, wts = src[:end].astype(np.int64), dst[:end].astype(np.int64), wts[:end]
-    order = np.lexsort((dst, src))  # stable: a repeated pair keeps its input order
+    # labels in 1..n <= 2^15 make src (n + 1) + dst an exact key in (src, dst) order;
+    # a stable sort keeps a repeated pair in input order
+    order = np.argsort(src * (n + 1) + dst, kind="stable")
     src, dst = src[order], dst[order]
     repeat = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
     if repeat.any():

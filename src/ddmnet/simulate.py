@@ -388,16 +388,19 @@ def _worker_count(requested: int | None, chunks: int) -> int:
     return max(1, min(requested, chunks))
 
 
-def simulate_ensemble(g: WeightedDigraph, cfg: SimConfig, workers: int | None = None) -> Ensemble:
+def simulate_ensemble(g: WeightedDigraph, cfg: SimConfig, workers: int | None = None,
+                      lap: np.ndarray | None = None) -> Ensemble:
     """Simulate the ensemble and accumulate moment sums at the sample times.
 
     Deterministic for a given (graph, config) regardless of `workers`:
     trajectories are chunked by a fixed size, each chunk's sums are computed
     from per-trajectory streams, and chunks are merged in index order.
     `workers=None` uses every CPU this process may run on; the pool never
-    has more processes than chunks.
+    has more processes than chunks. `lap` is laplacian(g), where the caller
+    has built it already; it is read, never written.
     """
-    lap = laplacian(g)
+    if lap is None:
+        lap = laplacian(g)
     norm_inf = float(np.abs(lap).sum(axis=1).max())
     if norm_inf > 0 and cfg.step > 0.1 / norm_inf:
         raise UnstableStepError(

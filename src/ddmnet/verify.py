@@ -75,13 +75,24 @@ def _panel_vs_steps(lap: np.ndarray, params: ModelParams) -> tuple[str, str]:
     check tests a linear identity, and every row meets every block of K and
     M^S. The second panel makes x M^S act on a nonzero state. Both run on one
     BLAS thread, so the detail's digits do not depend on the pool.
+
+    M takes h ||L||_inf = 0.05, so it is the same matrix at every weight
+    scale, and a wrong K shows as plainly on small weights as on large ones.
+    L is first scaled by a power of two, which is exact and leaves the
+    product h L as it was, so that h stays finite where ||L||_inf is
+    subnormal. The drift and the noise take h at most 0.01: an h grown with
+    1 / ||L||_inf would let the drift beta h outgrow the noise sigma sqrt(h),
+    hide K's error below the gate, and overflow the states on small weights
+    for a beta that is not too large.
     """
     n = lap.shape[0]
     norm_inf = float(np.abs(lap).sum(axis=1).max())
+    exponent = math.frexp(norm_inf)[1]
+    lap_unit = np.ldexp(lap, -exponent)  # ||lap_unit||_inf in [1/2, 1), or 0 without arcs
+    step_matrix_t = (np.eye(n) - 0.05 / (math.ldexp(norm_inf, -exponent) or 1.0) * lap_unit).T
     h = 0.01 if norm_inf == 0.0 else min(0.01, 0.05 / norm_inf)
     span = PANEL_CHECK_SPAN
     drift, noise_scale = params.beta * h, params.sigma * math.sqrt(h)
-    step_matrix_t = (np.eye(n) - h * lap).T
     noise = np.empty((PANEL_CHECK_TRAJECTORIES, PANEL_CHECK_PANELS * span * n))
     _draw_normals(_stream_generators(PANEL_CHECK_SEED, 0, PANEL_CHECK_TRAJECTORIES), noise)
     x_panel = x_steps = np.zeros((PANEL_CHECK_TRAJECTORIES, n))

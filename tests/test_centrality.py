@@ -93,6 +93,24 @@ class TestCloseness:
         np.testing.assert_allclose(closeness, [math.inf if s == 0 else g.n / s for s in sums],
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("p,dense", [(0.1, False), (0.15, False), (0.35, True), (0.6, True)])
+    def test_matches_dijkstra_on_both_sides_of_scipys_switch(self, p, dense):
+        # scipy runs Floyd-Warshall at nnz >= n^2 / 4 arcs and Dijkstra below; the
+        # reference forces Dijkstra on both sides
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
+        rng = np.random.default_rng(2028)
+        for _ in range(4):
+            n = int(rng.integers(30, 60))
+            g = random_connected_graph(rng, n, p=p)
+            assert (g.src.size >= n * n / 4) is dense
+            dist, closeness = geodesic_closeness(g)
+            lengths = csr_matrix((1.0 / g.w, (g.src - 1, g.dst - 1)), shape=(n, n))
+            reference = shortest_path(lengths, method="D", directed=True)
+            np.testing.assert_allclose(dist, reference, rtol=1e-12)
+            np.testing.assert_allclose(closeness, n / reference.sum(axis=1), rtol=1e-12)
+
     def test_triangle_inequality(self):
         rng = np.random.default_rng(9)
         for _ in range(5):

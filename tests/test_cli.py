@@ -855,6 +855,57 @@ class TestJsonEcho:
         assert report.read_bytes() == out.out.encode() == golden
 
 
+# leaves json writes in more than one way: signed zeros, the extreme finite
+# floats, big ints, and strings it escapes (quotes, backslashes, controls, non-ASCII)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["", "é", "\u2028", '"\\\n\t', "\x00\x1f", "😀"]), st.text(max_size=8))
+
+
+def report_values():
+    """Nested dicts, lists and tuples of scalars and graph echoes."""
+    return st.recursive(
+        st.one_of(JSON_SCALARS, echo_graphs()),
+        lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                                st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+        max_leaves=24)
+
+
+def written(value) -> str:
+    out = []
+    cli._write_json(value, 0, out)
+    return "".join(out)
+
+
+class TestJsonWriter:
+    @settings(deadline=None, max_examples=300)
+    @given(report_values())
+    @example(())
+    @example({"a": [], "b": {}, "c": ((), [[]], {"d": ()})})
+    @example({"graph": build_graph(3, [(1, 2, 0.5), (2, 1, 0.5)]), "rows": [{"mu": -0.0, "node": 1}]})
+    # table rows in one call: a row's text cannot pass for the boundary between two rows
+    @example({"rows": [{"a": "},\n      {", "b": 1}, {"a": "}, {"}, {"c": None}]})
+    @example({"rows": ({"a": 1}, {}), "table": [[{"a": 1}], {"b": 2}]})
+    def test_matches_json_dumps(self, value):
+        expected = json.dumps(value, indent=2, sort_keys=True, allow_nan=False, default=graph_to_dict)
+        assert written(value) == expected
+
+    @pytest.mark.parametrize("value", [
+        {"rows": [1.0, math.inf]},  # one C encoder call for the list
+        {"a": {"b": [1]}, "z": -math.inf},  # a scalar written on its own
+        [{"x": 1.0}, {"y": math.nan}],
+        math.inf,
+    ], ids=["scalar-list", "mixed-dict", "row-dicts", "bare"])
+    def test_non_finite_float_raises_json_dumps_message(self, value):
+        with pytest.raises(ValueError) as expected:
+            json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+        assert str(expected.value).endswith(("inf", "nan"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            written(value)
+
+
 class TestReproducibility:
     def test_analyze_rerun_is_byte_identical(self, tmp_path, capsys):
         out_a = tmp_path / "a.json"

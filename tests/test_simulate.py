@@ -207,8 +207,9 @@ REAL_TAKES_STEPS = simulate_module._takes_steps
 
 @st.composite
 def panel_cases(draw):
-    """A random digraph's M = (I - hL)^T at verify's h = min(0.01, 0.05 / ||L||_inf),
-    with a batch, a span, sigma, beta and a seed for the normals."""
+    """A random digraph's M = (I - hL)^T at verify's h ||L||_inf = 0.05, the h = min(0.01,
+    0.05 / ||L||_inf) of verify's drift and noise, a batch, a span, sigma, beta and a seed
+    for the normals."""
     n = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.floats(0.0, 1.0))
@@ -218,7 +219,7 @@ def panel_cases(draw):
     norm_inf = float(np.abs(lap).sum(axis=1).max())
     h = 0.01 if norm_inf == 0.0 else min(0.01, 0.05 / norm_inf)
     span = draw(st.integers(1, simulate_module.PANEL_STEPS))
-    return ((np.eye(n) - h * lap).T, h, draw(st.integers(1, 64)), span,
+    return ((np.eye(n) - (0.05 / norm_inf if norm_inf else 0.0) * lap).T, h, draw(st.integers(1, 64)), span,
             draw(st.floats(2.0**-20, 1e150)), draw(st.floats(-1e300, 1e300)), rng)
 
 

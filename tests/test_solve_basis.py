@@ -125,7 +125,7 @@ def stages(laplacian, adjacency, normality_residual, strongly_connected, mirror_
 # verify adds the mirror of the mirror for the idempotence check, and on a
 # balanced graph (undirected60, the fixture) also that mirror's Laplacian,
 # for the symmetric-part check; its simulator check reads the request's
-# Laplacian.
+# Laplacian, and so does simulate's ensemble.
 @pytest.mark.parametrize("argv,expected", [
     (["analyze", UNDIRECTED60], stages(1, 1, 1, 1)),
     (["analyze", FIXTURE], stages(1, 1, 1, 1)),
@@ -138,7 +138,7 @@ def stages(laplacian, adjacency, normality_residual, strongly_connected, mirror_
     (["verify", DIGRAPH6], stages(2, 2, 1, 2, 2)),
     (["family", "complete:9:1"], stages(1, 1, 1, 1)),
     (["simulate", FIXTURE, "--trajectories", "64", "--t-max", "0.1", "--sample-times", "0.1"],
-     stages(2, 2, 1, 1)),
+     stages(1, 1, 1, 1)),
 ], ids=[f"{command}-{graph}" for command in ("analyze", "centrality", "verify")
         for graph in ("undirected60", "fixture", "digraph6")] + ["family-complete9", "simulate-fixture"])
 def test_stage_counts(argv, expected, stage_calls, tmp_path, capsys):

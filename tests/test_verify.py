@@ -9,7 +9,7 @@ from ddmnet import (DdmnetError, FamilySpec, ModelParams, Request, all_passed, b
                     load_graph, make_family, mirror_graph, run_checks)
 from ddmnet.certainty import _covariance_step
 from ddmnet.cli import main
-from ddmnet.verify import _row_sum_deviations
+from ddmnet.verify import _panel_vs_steps, _row_sum_deviations
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -134,6 +134,21 @@ def test_a_broken_panel_fails_the_simulator_check(attr, mutant, monkeypatch, cap
     monkeypatch.setattr(f"ddmnet.verify.{attr}", mutant)
     assert main(["verify", str(ROOT / "fixtures/five_node_benchmark.json")]) == 1
     assert "FAIL simulation-panel-vs-steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-12, 1e-300])
+@pytest.mark.filterwarnings("error")
+def test_the_simulator_check_keeps_its_power_on_small_weights(scale, monkeypatch):
+    # M takes h ||L||_inf = 0.05 at every weight scale, and the drift does not outgrow
+    # the noise, so reversed blocks of K fail far above the 1e-12 gate
+    base = load_graph(str(ROOT / "tests/data/undirected60.json"))
+    lap = laplacian(build_graph(base.n, [(k, j, w * scale) for k, j, w in base.edges]))
+    for params in (ModelParams(), ModelParams(beta=1e300)):
+        assert _panel_vs_steps(lap, params)[0] == "PASS"
+    monkeypatch.setattr("ddmnet.verify._panel_operator", reversed_blocks)
+    status, detail = _panel_vs_steps(lap, ModelParams())
+    assert status == "FAIL"
+    assert float(detail.split("= ")[1].split(";")[0]) > 1e-3
 
 
 @pytest.mark.filterwarnings("error")
