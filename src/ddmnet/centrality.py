@@ -96,7 +96,7 @@ def information_matrix(lap_mirror: np.ndarray, connected: bool | None = None) ->
     lap = np.asarray(lap_mirror, dtype=float)
     n = lap.shape[0]
     scale = float(np.abs(lap).max(initial=0.0))
-    if float(np.abs(lap - lap.T).max(initial=0.0)) > 1e-12 * scale:
+    if float(np.abs(lap - lap.T).max(initial=0.0)) > DEFAULT_TOL.laplacian_symmetry_rtol * scale:
         raise GraphValidationError("Laplacian must be symmetric")
     if connected is None:
         connected = strongly_connected(n, *np.nonzero(lap))  # self-arcs k -> k reach nothing new
@@ -344,6 +344,9 @@ def _combined_paths(adj: list[list[tuple[int, float]]], weight: dict[frozenset[i
                 net += inv_w if oriented[r][e] == oriented[s][e] else -inv_w
             unsigned[r, s] = unsigned[s, r] = plus
             signed[r, s] = signed[s, r] = net
+    if not np.isfinite(signed).all():  # a subnormal weight, or a sum of lengths near overflow
+        raise GraphValidationError(f"path lengths between nodes {source} and {target} "
+                                   "overflow double precision: the edge weights are too small")
 
     # G is a Gram matrix: rank deficiency is structural when path vectors are
     # linearly dependent as edge flows, so a pseudoinverse is exact here. It is
@@ -351,7 +354,8 @@ def _combined_paths(adj: list[list[tuple[int, float]]], weight: dict[frozenset[i
     # cutoff does not drop paths whose lengths lie far below the longest one:
     # I = (D^{-1/2} 1)^T (D^{-1/2} G D^{-1/2})^+ (D^{-1/2} 1).
     scale = 1.0 / np.sqrt(np.diag(signed))
-    equilibrated = np.linalg.pinv(signed * np.outer(scale, scale), rcond=1e-12, hermitian=True)
+    equilibrated = np.linalg.pinv(signed * np.outer(scale, scale),
+                                  rcond=DEFAULT_TOL.oracle_pinv_rcond, hermitian=True)
     oracle = float(scale @ equilibrated @ scale)
     bundle = PathBundle(
         source=source,
@@ -363,7 +367,8 @@ def _combined_paths(adj: list[list[tuple[int, float]]], weight: dict[frozenset[i
 
 
 def naive_combined_information(bundle: PathBundle) -> float:
-    """Orientation-blind combination 1^T D^{-1} 1 of the bundle's overlap matrix."""
+    """Orientation-blind combination 1^T D^{-1} 1 of the bundle's overlap matrix.
+    Raises DdmnetError where D is singular or the sum is not finite."""
     d = bundle.overlap
     try:
         inv = np.linalg.inv(d)
@@ -371,7 +376,12 @@ def naive_combined_information(bundle: PathBundle) -> float:
         raise OverlapMatrixSingularError(
             f"overlap matrix for pair ({bundle.source}, {bundle.target}) is singular"
         ) from exc
-    return float(inv.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(inv.sum())
+    if not math.isfinite(total):  # path lengths that lie too far apart
+        raise DdmnetError(f"orientation-blind combination for pair ({bundle.source}, {bundle.target}) "
+                          "is not finite in double precision")
+    return total
 
 
 def path_oracle_pairs(g: WeightedDigraph, info: InformationMatrix) -> list[dict]:

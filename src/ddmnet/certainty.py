@@ -158,7 +158,7 @@ def _eigensystem(lap: np.ndarray) -> SpectralData:
     if abs(eigvals[0]) > DEFAULT_TOL.eigen_residual_rtol * scale:
         raise NotStronglyConnectedError(f"no eigenvalue near zero (closest: {eigvals[0]:.3e})")
     consensus = np.full(n, 1.0 / math.sqrt(n))
-    if abs(abs(float(vecs[:, 0] @ consensus)) - 1.0) > 1e-8:
+    if abs(abs(float(vecs[:, 0] @ consensus)) - 1.0) > DEFAULT_TOL.consensus_alignment_atol:
         raise NotStronglyConnectedError("zero-eigenvalue eigenspace is not the consensus direction")
     eigvals[0] = 0.0
     vecs[:, 0] = consensus

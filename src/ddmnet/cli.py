@@ -33,6 +33,7 @@ from .certainty import (
     covariance_curves,
     dispersion_summary,
 )
+from .config import DEFAULT_TOL
 from .errors import DdmnetError, PathCapExceededError, StepCapError
 from .families import closed_form_covariance, closed_form_mu, make_family, parse_family_spec
 from .graph import WeightedDigraph, load_graph
@@ -229,7 +230,7 @@ def _check_grid(args: argparse.Namespace) -> None:
 
 def _attach_curves(report: dict, req: Request, t_max: float, t_step: float) -> None:
     n, params = req.g.n, req.params
-    times = np.arange(0.0, t_max + 1e-12, t_step)
+    times = np.arange(0.0, t_max + DEFAULT_TOL.curve_grid_atol, t_step)
     variances = covariance_curves(req.lap, params, t_step, times.size)
     header = ["t"] + [f"var_node_{k}" for k in range(1, n + 1)] + ["envelope_lower", "envelope_upper"]
     # variance_envelope's (sigma^2 t / n, sigma^2 t), by the same IEEE operations
@@ -249,10 +250,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = _base_report("analyze", config, req)
 
     if req.routes:
-        report["routes"] = {rep.route: {"applicable": True, "rows": rep.to_rows(),
+        rows = {rep.route: rep.to_rows() for rep in req.routes}
+        report["routes"] = {rep.route: {"applicable": True, "rows": rows[rep.route],
                                         "kirchhoff_index": rep.kirchhoff_index,
                                         "total_dispersion": rep.total_dispersion} for rep in req.routes}
-        report["csv_rows"] = [row for rep in req.routes for row in rep.to_rows()]
+        report["csv_rows"] = [row for route_rows in rows.values() for row in route_rows]
         report["dispersion"] = vars(dispersion_summary(req.routes[0], req.info.kirchhoff_index))
     else:
         why_not = ("Laplacian is not normal" if not req.profile.normal_laplacian
@@ -273,12 +275,13 @@ def cmd_centrality(args: argparse.Namespace) -> int:
               "format": args.format}
     report = _base_report("centrality", config, req)
     cent = information_centrality(req.mirror, req.info, args.variant)
+    rows = cent.to_rows()
     report["centrality"] = {
-        "rows": cent.to_rows(),
+        "rows": rows,
         "ranking": list(cent.ranking),
         "ranked_by": cent.ranked_by,
     }
-    report["csv_rows"] = cent.to_rows()
+    report["csv_rows"] = rows
     report["csv_fields"] = ["node", "closeness", "info_harmonic", "info_arithmetic", "rank"]
     if 1 < req.g.n <= args.oracle_cap:
         try:

@@ -16,10 +16,16 @@ class Tolerances:
     normality_rtol: float = 1e-10
     # per-node |out_degree - in_degree| <= balance_rtol * max(1, degree scale)
     balance_rtol: float = 1e-10
+    # an arc list is undirected when each reverse weight agrees to this, relative to max(1, w)
+    undirected_rtol: float = 1e-12
+    # a mirror Laplacian passed to the group inverse is symmetric to this, relative to max |L|
+    laplacian_symmetry_rtol: float = 1e-12
     # max deviation of U^T U from the identity
     unitary_atol: float = 1e-10
     # ||L u - lambda u|| <= eigen_residual_rtol * ||L||
     eigen_residual_rtol: float = 1e-9
+    # | |u_0 . 1 / sqrt(n)| - 1 | for the zero mode u_0 of the symmetric part
+    consensus_alignment_atol: float = 1e-8
     # group-inverse axioms, relative to the matrix scale
     group_inverse_rtol: float = 1e-9
     # agreement between certainty routes (per node, relative)
@@ -28,6 +34,8 @@ class Tolerances:
     covariance_cross_atol: float = 1e-6
     # path-enumeration oracle vs matrix information
     oracle_agreement_atol: float = 1e-6
+    # cutoff of the oracle's pseudoinverse of its unit-diagonal Gram matrix
+    oracle_pinv_rcond: float = 1e-12
     # verify: mirror Laplacian vs the symmetric part (L + L^T) / 2, relative to max |L|
     mirror_symmetric_rtol: float = 1e-12
     # verify: row sums of Phi^k - I for the unit-noise propagator
@@ -42,6 +50,10 @@ class Tolerances:
     covariance_plateau_rtol: float = 1e-9
     # verify: simulator panel product vs step-by-step states, relative to max |x|
     panel_vs_steps_rtol: float = 1e-12
+    # a simulator sample time lies on the step grid to this, relative to max(1, t)
+    step_grid_rtol: float = 1e-9
+    # a curves grid t = 0, t_step, ... keeps its last point up to this past --t-max
+    curve_grid_atol: float = 1e-12
     # scores are rounded to this many decimals before ranking, so that
     # exact mathematical ties perturbed by float noise break identically
     # across different computation routes

@@ -158,11 +158,14 @@ def _circulant_rates(spec: FamilySpec) -> np.ndarray:
     return first_row @ np.cos(2.0 * np.pi * np.outer(m, m) / n)
 
 
+@np.errstate(over="ignore", divide="ignore")  # as in float arithmetic, an overflow gives inf
 def closed_form_mu(spec: FamilySpec, sigma: float = 1.0) -> ClosedFormResult:
     """Exact per-node certainty for families with a normal Laplacian.
 
     Exploding and imploding stars are flagged "not defined": their variance
     gap over sigma^2 t / n diverges, so no finite certainty index exists.
+    Where alpha is so small or sigma so large that 1/mu overflows, it is inf
+    in every family; the spectral route names the overflow.
     """
     n, a = spec.n, spec.alpha
     if spec.kind not in _NORMAL_KINDS:

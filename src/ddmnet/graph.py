@@ -69,12 +69,14 @@ class WeightedDigraph:
         return a
 
     def is_undirected(self) -> bool:
-        """True if every edge has a reverse edge of equal weight, to 1e-12 relative."""
+        """True if every edge has a reverse edge of equal weight, to
+        DEFAULT_TOL.undirected_rtol relative."""
         # ordered by (dst, src), the reverse of arc i sits at rev[i] exactly when every arc has one;
         # labels in 1..n <= 2^15 make dst (n + 1) + src an exact key in that order
         rev = np.argsort(self.dst * (self.n + 1) + self.src, kind="stable")
         return (np.array_equal(self.dst[rev], self.src) and np.array_equal(self.src[rev], self.dst)
-                and bool(np.all(np.abs(self.w[rev] - self.w) <= 1e-12 * np.maximum(1.0, self.w))))
+                and bool(np.all(np.abs(self.w[rev] - self.w)
+                                <= DEFAULT_TOL.undirected_rtol * np.maximum(1.0, self.w))))
 
 
 @dataclass(frozen=True)

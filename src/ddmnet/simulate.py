@@ -4,14 +4,11 @@ Euler-Maruyama with additive noise:
 
     x <- x + (beta * 1 - L x) h + sigma sqrt(h) xi,   x(0) = 0,
 
-one independent SFC64 stream per trajectory, seeded by
+one independent SFC64 stream per trajectory, seeded by numpy's
 SeedSequence((seed, trajectory index)). Hashing the pair, rather than
 combining seed and index into one integer, keeps the streams of different
-seeds apart. `_stream_states` computes those seeds for a whole chunk in one
-vectorized pass of SeedSequence's hash (O'Neill's seed_seq mixing), bit for
-bit what numpy's SeedSequence gives one trajectory at a time. Moments are
-accumulated streaming (one pass, O(n^2) memory independent of the trajectory
-count) in a fixed chunk order.
+seeds apart. Moments are accumulated streaming (one pass, O(n^2) memory
+independent of the trajectory count) in a fixed chunk order.
 
 The step is linear, so a panel of S steps is one product: with
 M = (I - hL)^T acting on row states,
@@ -37,7 +34,6 @@ runs split across any number of workers produce bit-identical moment sums.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -45,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certainty import ModelParams
+from .config import DEFAULT_TOL
 from .errors import DdmnetError, StepCapError, UnstableStepError
 from .graph import WeightedDigraph, laplacian
 from .blasthreads import numpy_blas_on_one_thread, single_thread_numpy_blas
@@ -63,16 +60,6 @@ PANEL_STEPS = 250
 # CHUNK_TRAJECTORIES trajectories already runs for hours
 MAX_STEPS = 10**8
 
-# SeedSequence's constants (numpy.random.bit_generator): hashmix's xor key
-# starts at _HASH_INIT_A and is multiplied by _HASH_MULT_A before each use as
-# multiplier; generate_state does the same with B; mix combines two words
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_WORD = 0xFFFFFFFF
-
-_GRID_RTOL = 1e-9
 _OFFDIAG_GATE = 5.0
 _MEAN_GATE = 3.0
 
@@ -101,7 +88,7 @@ class SimConfig:
             raise ValueError(f"need at least 2 trajectories, got {self.trajectories}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.sample_times and self.t_max < max(self.sample_times) - _GRID_RTOL:
+        if self.sample_times and self.t_max < max(self.sample_times) - DEFAULT_TOL.step_grid_rtol:
             raise ValueError("t_max must cover every sample time")
         last = max(self.sample_times, default=0.0)
         if last / self.step > MAX_STEPS:
@@ -115,7 +102,7 @@ class SimConfig:
     def step_index(self, t: float) -> int:
         """Grid index of a sample time; raises if t is not on the step grid."""
         idx = round(t / self.step)
-        if abs(idx * self.step - t) > _GRID_RTOL * max(1.0, abs(t)):
+        if abs(idx * self.step - t) > DEFAULT_TOL.step_grid_rtol * max(1.0, abs(t)):
             raise ValueError(f"sample time {t} is not on the step grid (h = {self.step})")
         return idx
 
@@ -161,109 +148,10 @@ class MomentValidation:
     warnings: tuple[str, ...]
 
 
-def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's entropy words of a non-negative int: 32 bits each, least significant first."""
-    words = [value & _WORD]
-    while value > _WORD:
-        value >>= 32
-        words.append(value & _WORD)
-    return words
-
-
-def _hash_keys(first: int, mult: int, calls: int) -> np.ndarray:
-    """The keys of `calls` hash calls, first * mult^k mod 2^32 for k = 0 .. calls, as a uint32 column."""
-    keys = [first]
-    for _ in range(calls):
-        keys.append(keys[-1] * mult & _WORD)
-    return np.array(keys, dtype=np.uint32)[:, None]
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_MULT_L
-    out -= y * _MIX_MULT_R
-    out ^= out >> 16
-    return out
-
-
-def _stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
-    """SeedSequence((seed, i)).generate_state(3, np.uint64) for i in [lo, hi), one row each.
-
-    SeedSequence hashes the entropy words of (seed, i) into a pool of four
-    words, then hashes the pool into the state. Every row makes the same
-    sequence of hash calls, with the same keys, so each call runs on all
-    rows at once, and on every pool word it touches. Indices lie below 2^64,
-    and i must have one word count across the range: a chunk never straddles
-    2^32, which CHUNK_TRAJECTORIES divides.
-    """
-    width = len(_uint32_words(hi - 1))
-    if len(_uint32_words(lo)) != width:
-        raise ValueError(f"trajectory indices [{lo}, {hi}) change word count")
-    index = np.arange(lo, hi, dtype=np.uint64)
-    seed_words = _uint32_words(seed)
-    entropy = np.empty((len(seed_words) + width, hi - lo), dtype=np.uint32)
-    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    for k in range(width):
-        entropy[len(seed_words) + k] = (index >> np.uint64(32 * k)) & np.uint64(_WORD)
-    pool = np.zeros((_POOL_SIZE, hi - lo), dtype=np.uint32)
-    pool[:len(entropy)] = entropy[:_POOL_SIZE]
-
-    extra = max(0, len(entropy) - _POOL_SIZE)
-    keys = _hash_keys(_HASH_INIT_A, _HASH_MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
-    call = 0
-
-    def hashmix(words: np.ndarray, calls: int) -> np.ndarray:
-        nonlocal call
-        out = words ^ keys[call:call + calls]
-        out *= keys[call + 1:call + calls + 1]
-        out ^= out >> 16
-        call += calls
-        return out
-
-    # the entropy's first words, zero-padded to the pool size
-    pool = hashmix(pool, _POOL_SIZE)
-    # every pool word into every other: each source's three hashes come in
-    # destination order, and a source never changes during its own pass
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
-    # entropy words beyond the pool, each mixed into every pool word
-    for word in entropy[_POOL_SIZE:]:
-        pool = _mix(pool, hashmix(word, _POOL_SIZE))
-
-    # generate_state(3, np.uint64): six words cycling through the pool, paired little-endian
-    keys = _hash_keys(_HASH_INIT_B, _HASH_MULT_B, 6)
-    state = pool[[0, 1, 2, 3, 0, 1]] ^ keys[:-1]
-    state *= keys[1:]
-    state ^= state >> 16
-    state = state.astype(np.uint64)
-    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
-
-
-@functools.cache
-def _fixed_state_type() -> type:
-    """An ISeedSequence whose generate_state returns one row of `_stream_states`.
-
-    np.random.SFC64 seeds itself with generate_state(3, np.uint64) of the
-    sequence it is given. The class is made on first use, so that
-    importing ddmnet loads no numpy.random module.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class FixedState(ISeedSequence):
-        def __init__(self, state: np.ndarray) -> None:
-            self.state = state
-
-        def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
-            return self.state
-
-    return FixedState
-
-
 def _stream_generators(seed: int, lo: int, hi: int) -> list[np.random.Generator]:
-    """np.random.Generator(SFC64(SeedSequence((seed, i)))) for i in [lo, hi)."""
-    fixed = _fixed_state_type()
-    return [np.random.Generator(np.random.SFC64(fixed(state)))
-            for state in _stream_states(seed, lo, hi)]
+    """One generator per trajectory i in [lo, hi), seeded by SeedSequence((seed, i))."""
+    return [np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, i))))
+            for i in range(lo, hi)]
 
 
 def _takes_steps(n: int, batch: int) -> bool:

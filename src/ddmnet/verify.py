@@ -20,11 +20,12 @@ from .certainty import (
     _covariance_doubled,
     _covariance_step,
     _variance_walk,
+    certainty_spectral,
     dispersion_summary,
     spectral_covariance,
 )
 from .config import DEFAULT_TOL
-from .errors import DisconnectedGraphError, PathCapExceededError
+from .errors import DisconnectedGraphError, GraphValidationError, PathCapExceededError
 from .graph import laplacian, laplacian_row_residual, mirror_graph
 from .request import Request
 from .simulate import (_advance_panel, _advance_steps, _draw_normals, _moments_error, _panel_operator,
@@ -225,7 +226,10 @@ def run_checks(req: Request, oracle_cap: int = 8) -> list[CheckResult]:
         k = max(0, math.ceil(math.log2(24.0) - math.log2(rate)))
         t_late, _, p_late = _covariance_doubled(lap, e_half, p_half, 0.5, k)
         offset = np.diag(p_late) - t_late / g.n
-        gap_late = float(np.abs(offset - np.asarray(spectral_report.inv_mu) / params.sigma**2).max())
+        # against the unit-noise 1/mu: dividing the report's by sigma^2 loses every
+        # digit where sigma^2 leaves the normal range
+        unit_inv_mu = certainty_spectral(req.spectral, ModelParams()).inv_mu
+        gap_late = float(np.abs(offset - np.asarray(unit_inv_mu)).max())
         ok = gap_late <= DEFAULT_TOL.covariance_plateau_rtol * max(1.0, t_late)
         record("covariance-large-time-plateau", PASS if ok else FAIL,
                f"max gap = {gap_late:.2e} at t = {t_late:.2f}")
@@ -254,7 +258,7 @@ def run_checks(req: Request, oracle_cap: int = 8) -> list[CheckResult]:
         except DisconnectedGraphError:
             record("path-oracle-vs-matrix-information", SKIP,
                    "mirror graph is disconnected; pairwise information is undefined")
-        except PathCapExceededError as exc:
+        except (PathCapExceededError, GraphValidationError) as exc:  # too many paths, or too long
             record("path-oracle-vs-matrix-information", SKIP, str(exc))
         else:
             atol = DEFAULT_TOL.oracle_agreement_atol

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ddmnet import (GraphFormatError, GraphValidationError, build_graph, cli, graph_from_dict, graph_to_dict,
-                    load_graph)
+from ddmnet import (GraphFormatError, GraphValidationError, build_graph, cli, families, graph_from_dict,
+                    graph_to_dict, load_graph)
 from ddmnet.cli import main
 from ddmnet.config import DEFAULT_TOL
 from ddmnet.graph import MAX_NODES
@@ -746,6 +747,121 @@ class TestInternalError:
         assert code == 3
         assert out.err == "internal error: RuntimeError: boom second line\n"
         assert out.out == ""
+
+
+# graph files: ordinary weights, and one defect at a time from the lists below
+FUZZ_EXTREME_WEIGHTS = st.sampled_from([1, 0.0, -1.0, 5e-324, 1e-300, 1e300, 1e308])
+FUZZ_BAD_LABELS = st.sampled_from([True, False, "1", 1.0, 2.5, -1, 0, 9])
+FUZZ_BAD_ITEMS = st.one_of(
+    st.lists(st.integers(1, 8), max_size=5).filter(lambda item: len(item) != 3),
+    st.tuples(FUZZ_BAD_LABELS, st.integers(1, 8), st.just(1.0)).map(list),
+    st.tuples(st.integers(1, 8), FUZZ_BAD_LABELS, st.just(1.0)).map(list),
+    st.tuples(st.integers(1, 8), st.integers(1, 8), st.sampled_from([True, "1", None, [1.0]])).map(list),
+)
+FUZZ_DEFECTS = ["none"] * 5 + ["odd item", "undirected", "duplicate", "self-loop", "weight"]
+# sigma, beta and alpha: ordinary values, or zero, negative, subnormal, huge and non-finite ones
+FUZZ_SCALES = st.one_of(st.just("1"), st.floats(0.1, 10.0).map(repr),
+                        st.sampled_from(["0", "-1", "5e-324", "1e-300", "1e150", "1e308", "inf", "-inf", "nan"]))
+FUZZ_GRAPH = "<graph file>"
+FUZZ_FORMATS = {"analyze": ["json", "csv", "curves"], "centrality": ["json", "csv"],
+                "family": ["json", "csv", "curves"], "simulate": ["json", "csv"], "verify": ["json"]}
+
+
+@st.composite
+def fuzz_graph_files(draw):
+    """A graph file's JSON: n <= 8 and distinct arcs, often on a ring that connects them,
+    with at most one defect."""
+    n = draw(st.integers(1, 8))
+    undirected = draw(st.booleans())
+    pairs = {(k, j) for k in range(1, n + 1) for j in range(1, n + 1) if k != j}
+    chosen = set(draw(st.lists(st.sampled_from(sorted(pairs)), max_size=12))) if pairs else set()
+    if n > 1 and draw(st.booleans()):
+        chosen |= {(k, k % n + 1) for k in range(1, n + 1)}
+    if undirected:  # one item per edge
+        chosen = {(min(p), max(p)) for p in chosen}
+    edges = [[k, j, draw(st.floats(0.1, 2.0))] for k, j in sorted(chosen)]
+    defect = draw(st.sampled_from(FUZZ_DEFECTS))
+    if defect == "odd item":
+        edges.insert(draw(st.integers(0, len(edges))), draw(FUZZ_BAD_ITEMS))
+    elif defect == "duplicate" and edges:
+        edges.append(list(draw(st.sampled_from(edges))))
+    elif defect == "self-loop":
+        edges.append([draw(st.integers(1, n))] * 2 + [1.0])
+    elif defect == "weight" and edges:
+        for item in draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3)):
+            item[2] = draw(FUZZ_EXTREME_WEIGHTS)
+    data = {"n": n, "edges": edges, "undirected": undirected}
+    if defect == "undirected":
+        data["undirected"] = draw(st.sampled_from(["yes", 1, 0.0, None]))
+    return data
+
+
+@st.composite
+def fuzz_grid(draw):
+    """--t-max and --t-step of a curves grid of at most 10^3 points."""
+    t_step = draw(st.sampled_from([1e-3, 0.05, 0.5, 2.0, 0.0, -0.1]))
+    points = draw(st.integers(0, 999))
+    return [f"--t-step={t_step!r}", f"--t-max={points * abs(t_step)!r}"]
+
+
+@st.composite
+def fuzz_argvs(draw):
+    """One CLI call: a command and its flags; FUZZ_GRAPH stands for the graph file."""
+    command = draw(st.sampled_from(sorted(FUZZ_FORMATS)))
+    fmt = draw(st.sampled_from(FUZZ_FORMATS[command]))
+    if command == "family":
+        kind = draw(st.sampled_from(families.KINDS))
+        if kind == "circulant":
+            kind += "(" + ",".join(map(str, draw(st.lists(st.integers(-2, 9), max_size=3)))) + ")"
+        argv = ["family", f"{kind}:{draw(st.integers(0, 8))}:{draw(FUZZ_SCALES)}",
+                "--times=" + ",".join(draw(st.lists(st.sampled_from(["0", "0.1", "1", "5", "-1"]),
+                                                    min_size=1, max_size=3)))]
+    else:
+        argv = [command, FUZZ_GRAPH]
+    argv += [f"--format={fmt}", f"--sigma={draw(FUZZ_SCALES)}", f"--beta={draw(FUZZ_SCALES)}"]
+    if fmt == "curves":
+        argv += draw(fuzz_grid())
+    if command in ("centrality", "verify"):
+        argv.append(f"--oracle-cap={draw(st.integers(0, 8))}")
+    if command == "centrality":
+        argv.append(f"--variant={draw(st.sampled_from(['harmonic', 'arithmetic']))}")
+    if command == "simulate":
+        step = draw(st.sampled_from([1e-4, 1e-3, 2.5e-3, 0.01, 0.1]))
+        grid = [round(k * step, 12) for k in range(int(round(0.1 / step)) + 1)]
+        times = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3))
+        argv += ["--workers=1", f"--step={step!r}", f"--trajectories={draw(st.integers(0, 8))}",
+                 f"--seed={draw(st.integers(0, 2**64))}", f"--t-max={max(times)!r}",
+                 "--sample-times=" + ",".join(map(repr, times))]
+    return argv
+
+
+class TestCliFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(graph=fuzz_graph_files(), argv=fuzz_argvs())
+    # a subnormal alpha: the closed form's 1/mu overflowed with a RuntimeWarning
+    @example(graph={"n": 1, "edges": []}, argv=["family", "undirected_ring:3:5e-324", "--times=0"])
+    # a subnormal weight: the path oracle multiplied 0 by inf, and reported a FAIL
+    @example(graph={"n": 3, "edges": [[1, 2, 5e-324], [1, 3, 1.0], [2, 3, 1.0]], "undirected": True},
+             argv=["verify", FUZZ_GRAPH, "--oracle-cap=3"])
+    # paths of lengths near 1e300 and near 1: an orientation-blind combination was nan,
+    # which the report writer refused
+    @example(graph={"n": 7, "edges": [[1, 2, 1e-300], [1, 3, 1.0], [2, 3, 1.0], [2, 4, 1.0], [3, 4, 1.0],
+                                      [4, 5, 1.0], [4, 6, 1.0], [5, 6, 1.0], [6, 7, 1.0], [7, 1, 0.5]],
+                    "undirected": True},
+             argv=["centrality", FUZZ_GRAPH])
+    def test_every_input_exits_0_1_or_2(self, graph, argv, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz_graph.json"
+        path.write_text(json.dumps(graph))
+        argv = [str(path) if arg == FUZZ_GRAPH else arg for arg in argv]
+        err = io.StringIO()
+        # a RuntimeWarning is an error, as in CI's runs of the installed commands
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        assert code in (0, 1, 2), err.getvalue()
+        # exit 1 is a failed verification, which only verify and simulate report
+        assert code != 1 or argv[0] in ("verify", "simulate"), err.getvalue()
 
 
 class TestParserReuse:

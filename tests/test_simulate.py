@@ -265,45 +265,6 @@ class TestPathRule:
         assert simulate_module._takes_steps(n, batch) is steps
 
 
-def numpy_seed_states(seed, lo, hi):
-    return np.array([np.random.SeedSequence((seed, i)).generate_state(3, np.uint64)
-                     for i in range(lo, hi)])
-
-
-class TestStreamSeeding:
-    """`_stream_states` against numpy's own SeedSequence, without simulating."""
-
-    @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 11])
-    @pytest.mark.parametrize("lo,hi", [(0, 64), (1024, 2048), (2**32 - 1024, 2**32),
-                                       (2**32, 2**32 + 1024)])
-    @pytest.mark.filterwarnings("error")
-    def test_states_match_numpy(self, seed, lo, hi):
-        assert np.array_equal(simulate_module._stream_states(seed, lo, hi),
-                              numpy_seed_states(seed, lo, hi))
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**200), chunk=st.integers(0, 2**23 + 10),
-           offset=st.integers(0, 1023), count=st.integers(1, 40))
-    def test_drawn_seeds_and_chunks_match_numpy(self, seed, chunk, offset, count):
-        # within one chunk of CHUNK_TRAJECTORIES, as the simulator asks
-        size = simulate_module.CHUNK_TRAJECTORIES
-        lo = chunk * size + offset
-        hi = min(lo + count, (chunk + 1) * size)
-        assert np.array_equal(simulate_module._stream_states(seed, lo, hi),
-                              numpy_seed_states(seed, lo, hi))
-
-    def test_a_range_across_two_to_the_32_is_refused(self):
-        with pytest.raises(ValueError, match="word count"):
-            simulate_module._stream_states(7, 2**32 - 1, 2**32 + 1)
-
-    @pytest.mark.parametrize("seed,lo", [(1234, 0), (2**64 + 7, 2**32 - 2), (0, 2**32)])
-    def test_first_normals_match_numpy_streams(self, seed, lo):
-        gens = simulate_module._stream_generators(seed, lo, lo + 2)
-        for i, gen in zip(range(lo, lo + 2), gens):
-            ref = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, i))))
-            assert np.array_equal(gen.standard_normal(1000), ref.standard_normal(1000))
-
-
 def numpy_blas_threads() -> int | None:
     """Thread count of numpy's own OpenBLAS copy, or None where none is mapped."""
     lib = blasthreads._numpy_openblas()

@@ -47,6 +47,23 @@ def test_path_oracle_passes_where_path_lengths_lie_far_apart():
     assert oracle.status == "PASS"
 
 
+@pytest.mark.parametrize("sigma", [1e-160, 1e-170, 5e-324])
+def test_plateau_passes_where_sigma_squared_leaves_the_normal_range(benchmark_graph, sigma):
+    # the plateau check reads the unit-noise 1/mu: the report's 1/mu divided by a
+    # subnormal sigma^2 lost its digits, and by an underflowed one gave nan
+    results = run_checks(Request(benchmark_graph, ModelParams(sigma=sigma)))
+    assert all_passed(results)
+
+
+def test_path_oracle_skips_a_length_that_overflows():
+    # the 1/w of a subnormal weight is inf: the oracle's scaling gave nan, and a FAIL
+    g = build_graph(3, [(1, 2, 5e-324), (2, 1, 5e-324), (1, 3, 1.0), (3, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
+    results = run_checks(Request(g))
+    assert all_passed(results)
+    oracle = next(r for r in results if r.name == "path-oracle-vs-matrix-information")
+    assert oracle.status == "SKIP" and "overflow" in oracle.detail
+
+
 def test_imploding_star_skips_and_passes():
     g = build_graph(4, [(k, 1, 1.0) for k in (2, 3, 4)])
     results = run_checks(Request(g))
